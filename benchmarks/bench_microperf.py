@@ -26,7 +26,11 @@ pre-columnar implementation) on identical encoded data:
                           takesCourse on the student);
 * ``bound_join_blocks`` — the mediator-side block pipeline of a bound
                           join: slice bindings into blocks, join each
-                          block, union the results.
+                          block, union the results;
+* ``mediator_filter_join`` — a B5-shaped cross-component
+                          ``FILTER(?level = ?beta)``: cross product plus
+                          filter (before) vs the value-keyed join on the
+                          equality key (after), rows asserted identical.
 
 Plus the **compiled plan suite** (emitted to ``BENCH_plan.json``), which
 times the compile-once endpoint engine (:mod:`repro.sparql.plan`) on the
@@ -77,6 +81,7 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import random
 import sys
 import time
 import tracemalloc
@@ -84,11 +89,12 @@ from collections import Counter
 
 from repro.datasets import lubm
 from repro.endpoint.cache import DEFAULT_PLAN_CACHE_CAPACITY, MISSING, PlanCache
-from repro.rdf.terms import Variable
+from repro.rdf.terms import IRI, Variable, typed_literal
 from repro.rdf.triple import TriplePattern
+from repro.relational.filters import equality_conjunct, make_filter_predicate
 from repro.relational.reference import RowRelation
 from repro.relational.relation import Relation
-from repro.sparql.ast import BGP, SelectQuery
+from repro.sparql.ast import BGP, Comparison, SelectQuery, VarExpr
 from repro.sparql.evaluator import _Evaluator, evaluate_select
 from repro.sparql.parser import parse_query
 from repro.sparql.plan import compile_query, split_parameters
@@ -374,6 +380,48 @@ def bench_bound_join_blocks(
     )
 
 
+def bench_mediator_filter_join(iterations: int, seed: int = 42) -> dict:
+    # B5-shaped: two disconnected subquery results joined only through
+    # FILTER(?level = ?beta), decimal betas against integer levels.
+    # Before: the cross product, then the filter; after: the scheduler's
+    # value-keyed join on the conjunct's equality key.
+    rng = random.Random(seed)
+    methyl, beta, expr, level = (Variable(n) for n in ("methyl", "beta", "expr", "level"))
+    left = Relation(
+        (methyl, beta),
+        [
+            (IRI(f"http://tcga-m.example.org/r{i}"), typed_literal(round(rng.random() * 4, 1)))
+            for i in range(600)
+        ],
+    )
+    right = Relation(
+        (expr, level),
+        [
+            (IRI(f"http://tcga-e.example.org/r{i}"), typed_literal(rng.randrange(0, 50)))
+            for i in range(480)
+        ],
+    )
+    expression = Comparison("=", VarExpr(level), VarExpr(beta))
+    predicate = make_filter_predicate(expression)
+    conjunct = equality_conjunct(expression)
+
+    def cross_then_filter():
+        return left.join(right).filter(predicate)
+
+    def filter_join():
+        return left.value_join(right, conjunct.right, conjunct.left, conjunct.key)
+
+    return _compare_runtimes(
+        cross_then_filter,
+        filter_join,
+        iterations,
+        left_rows=len(left),
+        right_rows=len(right),
+        cross_rows=len(left) * len(right),
+        joined_rows=len(filter_join()),
+    )
+
+
 def run_join_suite(encoded: TripleStore, iterations: int) -> dict:
     benches = {}
     benches["mediator_join"] = bench_columnar_mediator_join(encoded, iterations)
@@ -382,6 +430,8 @@ def run_join_suite(encoded: TripleStore, iterations: int) -> dict:
     print(f"join: mediator_join_big: {benches['mediator_join_big']['speedup']:.2f}x")
     benches["bound_join_blocks"] = bench_bound_join_blocks(encoded, iterations)
     print(f"join: bound_join_blocks: {benches['bound_join_blocks']['speedup']:.2f}x")
+    benches["mediator_filter_join"] = bench_mediator_filter_join(iterations)
+    print(f"join: mediator_filter_join: {benches['mediator_filter_join']['speedup']:.2f}x")
     return benches
 
 

@@ -11,6 +11,8 @@
    fails if any bench's columnar-vs-row speedup falls below an absolute
    floor or drops far below the checked-in baseline.  Speedups are
    in-run ratios on identical data, so the gate is machine-tolerant.
+   ``mediator_filter_join`` compares cross product + filter against the
+   value-keyed FILTER join instead of row vs columnar runtimes.
 4. Compiled-plan regression gate: same mechanism over the compiled plan
    suite (BENCH_plan.json) — cached-plan bound-join execution must stay
    at least twice as fast as per-request interpretive planning.
@@ -90,7 +92,12 @@ def check_microbench_smoke() -> None:
     assert set(report) == {"meta", "benches"}, f"unexpected keys: {set(report)}"
     expected = {"bgp_join", "mediator_join", "values_subquery"}
     assert set(report["benches"]) == expected, f"missing benches: {report['benches']}"
-    join_expected = {"mediator_join", "mediator_join_big", "bound_join_blocks"}
+    join_expected = {
+        "mediator_join",
+        "mediator_join_big",
+        "bound_join_blocks",
+        "mediator_filter_join",
+    }
     assert set(join_report["benches"]) == join_expected, (
         f"missing join benches: {join_report['benches']}"
     )
@@ -165,10 +172,14 @@ def check_microbench_smoke() -> None:
 #: Absolute speedup floors for the columnar join suite.  mediator_join's
 #: 2.0 is the PR acceptance criterion: the columnar kernels must stay at
 #: least twice as fast as the preserved row runtime on that workload.
+#: mediator_filter_join's 10.0: the value-keyed FILTER join must stay an
+#: order of magnitude ahead of cross product + filter on a B5-shaped
+#: 600 x 480 input (it replaces O(n*m) work with O(n+m)).
 _GATE_FLOORS = {
     "mediator_join": 2.0,
     "mediator_join_big": 2.0,
     "bound_join_blocks": 1.5,
+    "mediator_filter_join": 10.0,
 }
 #: A gate run may be this much slower (relative) than the committed
 #: baseline before it counts as a regression; in-run speedup ratios are

@@ -38,6 +38,7 @@ from repro.core.execution.scheduler import (
     BranchScheduler,
     SchedulerConfig,
     adaptive_block_size,
+    plan_filter_joins,
 )
 from repro.endpoint.cache import EngineCaches
 from repro.endpoint.client import FederationClient
@@ -647,6 +648,12 @@ class LusailEngine(FederatedEngine):
 
                 for expression in plan.residue_filters:
                     lines.append(f"  mediator FILTER {serialize_expression(expression)}")
+                for __, conjunct in plan_filter_joins(plan):
+                    lines.append(
+                        f"  mediator FILTER join: {serialize_expression(conjunct.expression)} "
+                        f"(value-keyed hash join on {conjunct.left.n3()} = "
+                        f"{conjunct.right.n3()}, no cross product)"
+                    )
         return "\n".join(lines)
 
     def with_config(self, **overrides) -> "LusailEngine":

@@ -389,6 +389,9 @@ class PartialBranchScheduler(BranchScheduler):
             assembled, [_origin_variable(sq.id) for sq in required]
         )
         assembled = assembled.project(branch_projection)
+        # Residue conjuncts the assembly consumed as filter joins hold for
+        # the assembled rows only; the local-complete rows still need them.
+        local_complete = self._apply_residue(local_complete, consumed=True)
         relation = assembled.union(local_complete)
         self._guard_rows(len(relation))
         return relation

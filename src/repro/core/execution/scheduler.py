@@ -13,8 +13,12 @@ Execution of one decomposed conjunctive branch:
    variables are shipped in ``VALUES`` blocks, one request per block per
    endpoint.  Generic patterns get their source list refined with the
    bindings first (Alg 3 line 13).
-4. OPTIONAL groups are evaluated last (always delayed) and left-joined;
-   residue filters apply at the mediator.
+4. Components still disconnected at the end are combined — first by
+   value-keyed hash joins for residue conjuncts ``?a = ?b`` spanning two
+   of them (:func:`plan_filter_joins`), then by cross product for
+   whatever remains.
+5. OPTIONAL groups are evaluated last (always delayed) and left-joined;
+   the residue conjuncts no join consumed apply at the mediator.
 """
 
 from __future__ import annotations
@@ -38,9 +42,15 @@ from repro.planning.source_selection import refine_sources_with_bindings
 from repro.rdf.terms import Term, Variable
 from repro.rdf.triple import TriplePattern
 from repro.relational import kernels
-from repro.relational.filters import make_filter_predicate
+from repro.relational.filters import (
+    EqualityConjunct,
+    conjuncts,
+    equality_conjunct,
+    make_filter_predicate,
+)
 from repro.relational.kernels import KernelCounters, kernel_runtime
 from repro.relational.relation import Relation
+from repro.sparql.serializer import serialize_expression
 
 
 def adaptive_block_size(
@@ -60,6 +70,45 @@ def adaptive_block_size(
         return block_size
     floor = max(1, min(min_block, block_size))
     return max(floor, min(block_size, int(block_size / rows_per_binding)))
+
+
+def residue_conjuncts(plan: DecompositionPlan) -> list:
+    """The branch's mediator residue as a flat list of ``&&`` conjuncts."""
+    return [part for expression in plan.residue_filters for part in conjuncts(expression)]
+
+
+def plan_filter_joins(plan: DecompositionPlan) -> list[tuple[int, EqualityConjunct]]:
+    """Residue conjuncts the scheduler evaluates as joins, in join order.
+
+    A conjunct ``?a = ?b`` or ``sameTerm(?a, ?b)`` is *consumed* when
+    ``?a`` and ``?b`` are bound by two different required components
+    (connected groups of required subqueries).  Required columns are
+    always bound, so a later OPTIONAL left join cannot change either
+    value and the join's verdict is the filter's.  Each consumed conjunct
+    merges its two components, so a later conjunct over the same pair
+    stays an ordinary filter.  Returns ``(index into
+    residue_conjuncts(plan), conjunct)`` pairs.
+    """
+    groups: list[set[Variable]] = []
+    for subquery in plan.required_subqueries():
+        merged = set(subquery.variables())
+        for group in [group for group in groups if group & merged]:
+            merged |= group
+            groups.remove(group)
+        groups.append(merged)
+    joins: list[tuple[int, EqualityConjunct]] = []
+    for index, expression in enumerate(residue_conjuncts(plan)):
+        conjunct = equality_conjunct(expression)
+        if conjunct is None:
+            continue
+        left = next((group for group in groups if conjunct.left in group), None)
+        right = next((group for group in groups if conjunct.right in group), None)
+        if left is None or right is None or left is right:
+            continue
+        groups.remove(right)
+        left |= right
+        joins.append((index, conjunct))
+    return joins
 
 
 @dataclass
@@ -128,6 +177,11 @@ class BranchScheduler:
         #: Endpoints dropped in partial-results mode; their contribution
         #: is skipped for the rest of the branch.
         self._dead_endpoints: set[str] = set()
+        #: Residue conjuncts this branch can evaluate as joins, and the
+        #: indexes of those a join actually consumed (skipped by
+        #: :meth:`_apply_residue`).
+        self.filter_joins = plan_filter_joins(plan)
+        self._consumed_conjuncts: set[int] = set()
 
     # ----------------------------------------------------------- plumbing
 
@@ -632,9 +686,15 @@ class BranchScheduler:
     ) -> Relation:
         if not components:
             return Relation.unit()
+        components = list(components)
+        for index, conjunct in self.filter_joins:
+            self._filter_join(components, index, conjunct, at_ms)
         relations = [component.relation for component in components]
         if len(relations) == 1:
             return relations[0]
+        self.client.registry.inc(
+            "mediator_cross_products_total", len(relations) - 1, engine=self.client.engine
+        )
         with self.client.tracer.span(
             "mediator_join", t0=at_ms, inputs=len(relations), cross_product=True
         ) as span:
@@ -645,6 +705,44 @@ class BranchScheduler:
             self._audit_join_plan(plan, joined, cost, span)
         self._guard_rows(len(joined))
         return joined
+
+    def _filter_join(
+        self,
+        components: list[_Component],
+        index: int,
+        conjunct: EqualityConjunct,
+        at_ms: float,
+    ) -> None:
+        """Merge the two components a residue equality spans by a keyed join.
+
+        The join keeps exactly the cross-product rows the conjunct would
+        pass, so the conjunct is marked consumed.  A no-op when one
+        component already binds both variables.
+        """
+        left = next((c for c in components if conjunct.left in c.variables), None)
+        right = next((c for c in components if conjunct.right in c.variables), None)
+        if left is None or right is None or left is right:
+            return
+        with self.client.tracer.span(
+            "mediator_join",
+            t0=at_ms,
+            inputs=2,
+            filter_join=serialize_expression(conjunct.expression),
+        ) as span:
+            joined = left.relation.value_join(
+                right.relation, conjunct.left, conjunct.right, conjunct.key
+            )
+            cost = kernels.last_join_cost()
+            self.join_cost_units += cost
+            span.set(rows=len(joined), join_cost_units=cost).end(at_ms)
+        self.client.registry.inc("mediator_filter_joins_total", engine=self.client.engine)
+        self._guard_rows(len(joined))
+        self._consumed_conjuncts.add(index)
+        components.remove(left)
+        components.remove(right)
+        components.append(
+            _Component(relation=joined, variables=left.variables | right.variables)
+        )
 
     def _run_optional_group(
         self, subqueries: list[Subquery], base: Relation, now: float
@@ -683,8 +781,14 @@ class BranchScheduler:
         self.join_cost_units += kernels.last_join_cost()
         return joined, now
 
-    def _apply_residue(self, relation: Relation) -> Relation:
-        for expression in self.plan.residue_filters:
-            predicate = make_filter_predicate(expression)
-            relation = relation.filter(predicate)
+    def _apply_residue(self, relation: Relation, consumed: bool = False) -> Relation:
+        """Filter by the residue conjuncts no join consumed.
+
+        With ``consumed=True``, by exactly the consumed ones instead — for
+        rows that did not come through the filter join (partial
+        evaluation's local-complete matches).
+        """
+        for index, expression in enumerate(residue_conjuncts(self.plan)):
+            if (index in self._consumed_conjuncts) == consumed:
+                relation = relation.filter(make_filter_predicate(expression))
         return relation

@@ -10,10 +10,11 @@ Categories follow LargeRDFBench:
 * **B** — queries over the LinkedTCGA endpoints producing large
   intermediate and final results.
 
-As in the paper, **C5, B5 and B6 join two disjoint subgraphs through a
-FILTER variable** — a query class neither Lusail nor its competitors
-support; :func:`paper_selection` excludes them, :func:`all_queries`
-includes them for completeness.
+**C5, B5 and B6 join two disjoint subgraphs through a FILTER
+variable.**  The paper leaves them out of its figures, and so does
+:func:`paper_selection`; :func:`all_queries` includes them.  Lusail
+answers them correctly, evaluating the cross-subgraph equality as a
+value-keyed join at the mediator.
 """
 
 from __future__ import annotations

@@ -19,6 +19,9 @@ kernels those relations dispatch to:
   the key, so chained joins on the same key never re-sort;
 * a **galloping intersection** kernel over sorted id sequences
   (``intersect_sorted``), the primitive the merge path advances with;
+* a **value-keyed join** (``value_join``) between variable-disjoint
+  relations, matching rows whose key columns map to equal computed keys
+  — the mediator's FILTER joins for cross-component ``?a = ?b``;
 * cross-product, left-join, union, project and distinct kernels with the
   same columnar layout.
 
@@ -80,7 +83,7 @@ class KernelCounters:
 class JoinOpStats:
     """Measured work of the most recent join/left-join kernel call."""
 
-    kind: str  # "fast" | "general" | "cross" | "merge"
+    kind: str  # "fast" | "general" | "cross" | "merge" | "value"
     build_rows: int
     probe_rows: int
     rows_out: int
@@ -496,6 +499,56 @@ def _cross_join(left, right, out_vars, runtime) -> tuple[list[Column], int]:
         probe_partitions=right.partitions if build_first else left.partitions,
     )
     return columns, total
+
+
+# ---------------------------------------------------- value-keyed join
+
+
+#: Keys for unbound cells: one per side, so they never meet each other.
+_UNBOUND_LEFT, _UNBOUND_RIGHT = object(), object()
+
+
+def _value_keys(column: Column, key_of, unbound) -> Column:
+    """Per-row join keys of one id column; ``key_of`` runs once per distinct id."""
+    if key_of is None:
+        return [unbound if value is None else value for value in column]
+    keys = {value: key_of(value) for value in set(column) if value is not None}
+    return [keys.get(value, unbound) for value in column]
+
+
+def value_join(left, right, left_var, right_var, out_vars, key_of=None):
+    """Equi-join two variable-disjoint relations on computed value keys.
+
+    Rows pair up when ``key_of`` maps ``left_var``'s id and
+    ``right_var``'s id to equal keys (``key_of=None`` compares the ids
+    themselves); unbound cells never match.  This is the mediator's
+    FILTER join: exactly the rows of ``left × right`` that satisfy the
+    equality, without materializing the cross product.  The keys feed
+    the fast-path hash kernel, so the row limit streams as usual.
+    """
+    runtime = _RUNTIME_STACK[-1]
+    left_keys = _value_keys(left.columns[left.vars.index(left_var)], key_of, _UNBOUND_LEFT)
+    right_keys = _value_keys(right.columns[right.vars.index(right_var)], key_of, _UNBOUND_RIGHT)
+    if len(left) <= len(right):
+        build, probe, build_keys, probe_keys = left, right, left_keys, right_keys
+    else:
+        build, probe, build_keys, probe_keys = right, left, right_keys, left_keys
+    counters = runtime.counters
+    counters.build_rows += len(build)
+    counters.probe_rows += len(probe)
+    columns, length = _fast_join(
+        build, probe, build is left, [build_keys], [probe_keys], out_vars, runtime
+    )
+    counters.rows_emitted += length
+    runtime.last_join = JoinOpStats(
+        kind="value",
+        build_rows=len(build),
+        probe_rows=len(probe),
+        rows_out=length,
+        build_partitions=build.partitions,
+        probe_partitions=probe.partitions,
+    )
+    return columns, length
 
 
 # ------------------------------------------------------------ left join

@@ -28,7 +28,8 @@ oracle and benchmark baseline.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import repeat
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from repro.rdf.terms import Term, Variable
 from repro.relational import kernels
@@ -248,6 +249,35 @@ class Relation:
             sort_order=sort_order,
         )
 
+    def value_join(
+        self,
+        other: "Relation",
+        left_var: Variable,
+        right_var: Variable,
+        key: Callable[[Term], Hashable] | None = None,
+    ) -> "Relation":
+        """Join with a variable-disjoint relation where two values agree.
+
+        Keeps exactly the rows of ``self × other`` whose ``left_var`` and
+        ``right_var`` terms map to equal ``key(term)`` (the terms
+        themselves when ``key`` is None), computed once per distinct id —
+        the mediator's FILTER join for ``?a = ?b`` / ``sameTerm(?a, ?b)``.
+        """
+        if set(self.vars) & set(other.vars):
+            raise ValueError("value_join needs variable-disjoint relations")
+        out_vars = self.vars + other.vars
+        key_of = None
+        if key is not None:
+            decode = self.rows.codec.decode
+
+            def key_of(term_id):
+                return key(decode(term_id))
+
+        columns, length = kernels.value_join(self, other, left_var, right_var, out_vars, key_of)
+        return Relation._from_columns(
+            out_vars, columns, length, partitions=max(self.partitions, other.partitions)
+        )
+
     def left_join(self, other: "Relation") -> "Relation":
         """SPARQL OPTIONAL semantics: keep left rows with no match."""
         out_vars = self._out_vars(other)
@@ -319,16 +349,35 @@ class Relation:
         )
 
     def filter(self, predicate: Callable[[dict[Variable, Term]], bool]) -> "Relation":
-        """Keep rows whose (term-level) solution satisfies ``predicate``."""
+        """Keep rows whose (term-level) solution satisfies ``predicate``.
+
+        The predicate sees only the columns it reads — its ``variables``
+        attribute when it has one (:func:`make_filter_predicate` sets it),
+        else every column — and runs once per distinct id tuple of those
+        columns; rows sharing a tuple share the verdict.
+        """
+        wanted = getattr(predicate, "variables", None)
+        positions = [
+            index for index, var in enumerate(self.vars) if wanted is None or var in wanted
+        ]
+        vars = [self.vars[index] for index in positions]
+        keys = (
+            zip(*(self.columns[index] for index in positions))
+            if positions
+            else repeat((), len(self))
+        )
+        decode = self.rows.codec.decode
+        verdicts: dict[tuple, bool] = {}
         keep: list[int] = []
-        decode_row = self.rows.codec.decode_row
-        vars = self.vars
-        for index, row in enumerate(self.rows.iter_ids()):
-            decoded = decode_row(row)
-            solution = {
-                var: value for var, value in zip(vars, decoded) if value is not None
-            }
-            if predicate(solution):
+        for index, key in enumerate(keys):
+            verdict = verdicts.get(key)
+            if verdict is None:
+                verdict = verdicts[key] = bool(
+                    predicate(
+                        {var: decode(value) for var, value in zip(vars, key) if value is not None}
+                    )
+                )
+            if verdict:
                 keep.append(index)
         columns = [[column[i] for i in keep] for column in self.columns]
         return Relation._from_columns(

@@ -333,6 +333,31 @@ class TestEngineIntegration:
             assert plain[name].last_audit.records == ()
         assert traced_tracer.roots  # tracing actually happened
 
+    def test_tracing_never_changes_filter_join_results(self):
+        # B5 joins two disconnected subqueries through FILTER(?level =
+        # ?beta): the traced run must take the same value-keyed join (its
+        # span names the consumed conjunct) and report exactly what the
+        # untraced run does.
+        from repro.datasets import largerdf, queries_largerdf
+
+        federation = largerdf.build_federation(scale=0.5, seed=1)
+        query = queries_largerdf.all_queries()["B5"]
+        plain = make_engines(federation, which=("Lusail",))["Lusail"]
+        tracer = Tracer(enabled=True)
+        traced = make_engines(
+            federation, which=("Lusail",), tracer=tracer, registry=MetricsRegistry()
+        )["Lusail"]
+        off, on = plain.execute(query), traced.execute(query)
+        assert on.status == off.status == "ok"
+        assert sorted(map(str, on.result.rows)) == sorted(map(str, off.result.rows))
+        assert on.metrics.request_count() == off.metrics.request_count()
+        assert on.metrics.rows_shipped() == off.metrics.rows_shipped()
+        assert on.metrics.virtual_ms == pytest.approx(off.metrics.virtual_ms)
+        (root,) = tracer.roots
+        joins = [span.attrs.get("filter_join") for span in root.find("mediator_join")]
+        assert joins == ["(?level = ?beta)"]
+        assert traced.registry.counter_value("mediator_filter_joins_total") == 1
+
     def test_trace_export_is_byte_identical_across_seeded_runs(self, tmp_path):
         # Two runs over identically-seeded federations must serialize to
         # byte-identical trace files in both formats: the virtual-time
