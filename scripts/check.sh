@@ -4,6 +4,8 @@
 #   ./scripts/check.sh
 #
 # 0. lints with ruff when it is installed (config in pyproject.toml);
+#    without it, byte-compiles every file, imports every repro module and
+#    resolves every name in each package's __all__;
 # 1. runs the full pytest suite (the repo's tier-1 gate, see ROADMAP.md);
 # 2. runs a LUBM query with tracing enabled and asserts the exported
 #    JSONL trace parses and its span tree is well-formed
@@ -46,7 +48,28 @@ if command -v ruff >/dev/null 2>&1; then
   ruff check src tests benchmarks scripts
   ruff format --check src tests benchmarks scripts
 else
-  echo "== lint: ruff not installed, skipping =="
+  # Without ruff, still catch syntax errors and dangling imports: every
+  # file must compile, every repro module import, and every name in a
+  # package's __all__ resolve.
+  echo "== lint: ruff not installed; compileall + import check =="
+  python -m compileall -q src tests benchmarks scripts
+  python - <<'PY'
+import importlib
+import pkgutil
+
+import repro
+
+count = 0
+for info in pkgutil.walk_packages(repro.__path__, "repro."):
+    if info.name.rsplit(".", 1)[-1] == "__main__":
+        continue
+    module = importlib.import_module(info.name)
+    count += 1
+    for name in getattr(module, "__all__", ()):
+        if not hasattr(module, name):
+            raise SystemExit(f"{info.name}.__all__ names missing {name!r}")
+print(f"imported {count} repro modules, every __all__ name resolves")
+PY
 fi
 
 echo "== tier-1: pytest =="

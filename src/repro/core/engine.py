@@ -35,6 +35,8 @@ from repro.core.execution.partial import (
     choose_strategy,
 )
 from repro.core.execution.scheduler import (
+    MIN_BLOCK,
+    POOL_SIZE,
     BranchScheduler,
     SchedulerConfig,
     adaptive_block_size,
@@ -64,12 +66,9 @@ class LusailConfig:
     delay_policy: DelayPolicy = DelayPolicy.MU_SIGMA
     use_chauvenet: bool = True
     enable_delay: bool = True
-    block_size: int = 500
     #: Adaptive bound-join blocks: each delayed subquery's block shrinks
-    #: with its COUNT-estimated rows-per-binding, never below min_block.
-    min_block: int = 50
-    adaptive_block_size: bool = True
-    pool_size: int = 8
+    #: with its COUNT-estimated rows-per-binding, never below MIN_BLOCK.
+    block_size: int = 500
     refine_sources: bool = True
     greedy_join_order: bool = False
     max_mediator_rows: int | None = 2_000_000
@@ -101,12 +100,9 @@ class LusailConfig:
     def scheduler_config(self) -> SchedulerConfig:
         return SchedulerConfig(
             block_size=self.block_size,
-            min_block=self.min_block,
-            adaptive_block_size=self.adaptive_block_size,
             refine_sources=self.refine_sources,
             greedy_join_order=self.greedy_join_order,
             max_mediator_rows=self.max_mediator_rows,
-            pool_size=self.pool_size * max(1, self.machines),
             partial_results=self.partial_results,
         )
 
@@ -147,7 +143,7 @@ class LusailEngine(FederatedEngine):
                 mediator_slots=self.network_config.mediator_slots * machines,
             )
         self.mediator = mediator or MediatorCostModel(
-            threads=self.config.pool_size * machines
+            threads=POOL_SIZE * machines
         )
         self.last_plan: QueryPlanInfo | None = None
         #: Scheduler class; the multi-query optimizer swaps in a sharing
@@ -537,8 +533,6 @@ class LusailEngine(FederatedEngine):
         by the smallest estimated cardinality among the eager subqueries
         sharing a variable — the component the bindings will come from.
         """
-        if not self.config.adaptive_block_size:
-            return f"bound-join block size: {self.config.block_size} (fixed)"
         cardinality = decision.cardinalities.get(
             subquery.id, subquery.estimated_cardinality
         )
@@ -556,12 +550,12 @@ class LusailEngine(FederatedEngine):
             )
         bindings = max(1, int(min(shared_cards)))
         planned = adaptive_block_size(
-            self.config.block_size, self.config.min_block, cardinality, bindings
+            self.config.block_size, MIN_BLOCK, cardinality, bindings
         )
         return (
             f"bound-join block size: {planned} "
             f"(adaptive, est. {cardinality / bindings:.1f} rows/binding, "
-            f"clamp [{min(self.config.min_block, self.config.block_size)}, "
+            f"clamp [{min(MIN_BLOCK, self.config.block_size)}, "
             f"{self.config.block_size}])"
         )
 

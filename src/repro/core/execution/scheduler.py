@@ -53,6 +53,14 @@ from repro.relational.relation import Relation
 from repro.sparql.serializer import serialize_expression
 
 
+#: Smallest block the adaptive bound join may shrink to.
+MIN_BLOCK = 50
+#: Elastic Request Handler worker threads per mediator machine; the
+#: engine multiplies it by ``LusailConfig.machines`` for the mediator's
+#: thread count (:attr:`MediatorCostModel.threads`).
+POOL_SIZE = 8
+
+
 def adaptive_block_size(
     block_size: int, min_block: int, estimated_rows: float, bindings: int
 ) -> int:
@@ -115,16 +123,13 @@ def plan_filter_joins(plan: DecompositionPlan) -> list[tuple[int, EqualityConjun
 class SchedulerConfig:
     """Tunable execution knobs (defaults follow the paper)."""
 
+    #: Largest bound-join block; each delayed subquery's block shrinks
+    #: with its COUNT-estimated rows-per-binding, never below
+    #: :data:`MIN_BLOCK` (see :func:`adaptive_block_size`).
     block_size: int = 500
-    #: Smallest block the adaptive bound join may shrink to.
-    min_block: int = 50
-    #: Scale each delayed subquery's block size by its COUNT-estimated
-    #: rows-per-binding (see :func:`adaptive_block_size`).
-    adaptive_block_size: bool = True
     refine_sources: bool = True
     greedy_join_order: bool = False
     max_mediator_rows: int | None = 2_000_000
-    pool_size: int = 8
     #: Degradation mode: instead of failing the whole query when an
     #: endpoint is irrecoverable (retries exhausted, breaker open), drop
     #: that endpoint's contribution and record it as completeness
@@ -167,7 +172,7 @@ class BranchScheduler:
         self.mediator = mediator
         self.config = config
         self.handler = ElasticRequestHandler(
-            pool_size=config.pool_size,
+            pool_size=mediator.threads,
             endpoint_names=tuple(client.federation.names()),
         )
         self.join_cost_units = 0.0
@@ -281,14 +286,12 @@ class BranchScheduler:
         )
         relation = Relation(projection, partitions=1)
         finish = at_ms
-        block_size = self.config.block_size
-        if self.config.adaptive_block_size:
-            block_size = adaptive_block_size(
-                self.config.block_size,
-                self.config.min_block,
-                subquery.estimated_cardinality,
-                len(binding_rows),
-            )
+        block_size = adaptive_block_size(
+            self.config.block_size,
+            MIN_BLOCK,
+            subquery.estimated_cardinality,
+            len(binding_rows),
+        )
         tracer = self.client.tracer
         metrics = self.client.metrics
         # Every block of this subquery shares one query skeleton, so all

@@ -1,14 +1,15 @@
 """A simulated SPARQL endpoint.
 
-An endpoint wraps a :class:`~repro.store.TripleStore` with the SPARQL
-evaluator and a region tag.  It is the stand-in for the Jena Fuseki /
-Virtuoso instances the paper deployed: federation engines only talk to it
-through :class:`~repro.endpoint.client.FederationClient`, which adds the
-virtual network costs.
+An endpoint wraps a :class:`~repro.store.TripleStore` with compiled
+query plans (:mod:`repro.sparql.plan`) and a region tag.  It is the
+stand-in for the Jena Fuseki / Virtuoso instances the paper deployed:
+federation engines only talk to it through
+:class:`~repro.endpoint.client.FederationClient`, which adds the virtual
+network costs.
 
 The endpoint is also the **encode/decode boundary** of the dictionary-
-encoded data plane: internally the store and evaluator work on this
-endpoint's private integer term ids (see :attr:`Endpoint.dictionary`),
+encoded data plane: internally the store and compiled plans work on
+this endpoint's private integer term ids (see :attr:`Endpoint.dictionary`),
 but every :class:`~repro.sparql.evaluator.SelectResult` leaving
 ``select()`` carries decoded term rows.  Ids from different endpoints
 are incomparable and never cross this boundary — the mediator re-encodes
@@ -22,7 +23,6 @@ from time import perf_counter
 from typing import Iterable
 
 from repro.endpoint.cache import DEFAULT_PLAN_CACHE_CAPACITY, MISSING, PlanCache
-from repro.endpoint.shards import ShardPool, fork_shardable
 from repro.exceptions import EvaluationError
 from repro.net import regions as regions_module
 from repro.rdf.triple import Triple, TriplePattern
@@ -85,23 +85,11 @@ class Endpoint:
         triples: Iterable[Triple] = (),
         region: str = regions_module.LOCAL,
         plan_cache_capacity: int | None = DEFAULT_PLAN_CACHE_CAPACITY,
-        shards: int = 1,
-        parallel: bool = False,
     ):
         self.name = name
         self.region = region
         self.store = TripleStore(name=name)
         self.store.add_all(triples)
-        #: Number of parallel lanes SELECT pipelines are chunked across.
-        #: 1 (the default) is the plain single-lane path.  With more,
-        #: shardable plans run chunk by chunk and report per-shard lane
-        #: statistics in :attr:`last_shard_stats`.
-        self.shards = max(1, int(shards))
-        #: Opt-in real parallelism: eligible bound-join requests run on
-        #: a fork pool (:mod:`repro.endpoint.shards`) instead of the
-        #: deterministic in-process chunk loop.
-        self.parallel = parallel
-        self._shard_pool: ShardPool | None = None
         #: Characteristic-set summary maintainer (repro.store.charsets),
         #: created lazily by :meth:`charset_summary`; None until the
         #: statistics path first asks for a summary.
@@ -110,10 +98,6 @@ class Endpoint:
         #: by :meth:`join_digest`; None until partial evaluation first
         #: asks for a fingerprint set.
         self._digest_index = None
-        #: Per-shard lane statistics of the most recent ``select()``:
-        #: one dict per shard with input/output row counts and
-        #: wall-clock seconds.  Empty when the last query ran unsharded.
-        self.last_shard_stats: list[dict] = []
         #: Failure injection: an unavailable endpoint refuses requests,
         #: which engines surface as a runtime error (the paper's plots
         #: annotate such runs as errors rather than timeouts).
@@ -190,41 +174,11 @@ class Endpoint:
             self.plan_cache.put(skeleton, plan)
         return plan, params, canonical
 
-    def _parallel_pool(self, query: SelectQuery) -> ShardPool | None:
-        """The live fork pool when this query may run on it, else None."""
-        if not self.parallel or self.shards <= 1 or self.result_limit is not None:
-            return None
-        if not fork_shardable(query):
-            return None
-        pool = self._shard_pool
-        if pool is not None and not pool.valid_for(self):
-            pool.close()
-            pool = self._shard_pool = None
-        if pool is None:
-            try:
-                pool = self._shard_pool = ShardPool(self, self.shards)
-            except (OSError, ValueError):
-                # No fork support here: stay on the in-process lanes.
-                return None
-        return pool
-
     def select(self, query: SelectQuery) -> SelectResult:
         """Run a SELECT query locally (truncated at ``result_limit``)."""
         plan, params, canonical = self._plan_for(query)
         started = perf_counter()
-        if self.shards > 1:
-            pool = self._parallel_pool(query)
-            if pool is not None:
-                vars_out, rows, stats = pool.execute(query)
-                result = SelectResult(vars_out, rows)
-            else:
-                result, stats = plan.execute_select_sharded(
-                    params, shards=self.shards, max_rows=self.result_limit
-                )
-            self.last_shard_stats = stats
-        else:
-            result = plan.execute_select(params, max_rows=self.result_limit)
-            self.last_shard_stats = []
+        result = plan.execute_select(params, max_rows=self.result_limit)
         self.plan_execute_s += perf_counter() - started
         if canonical is not None:
             result = canonical.restore(result)
@@ -237,9 +191,7 @@ class Endpoint:
         :func:`repro.sparql.skeleton.is_fragment_shape`) are skeleton-
         canonicalized first, so branch fragments that differ only in
         variable names or embedded constants replay one compiled plan
-        with fresh parameter bindings.  Runs single-lane: a partial
-        round is one request, its response time is dominated by the
-        rows shipped rather than local evaluation.
+        with fresh parameter bindings.
         """
         canonical = canonicalize_query(query) if is_fragment_shape(query) else None
         plan, params, _probe_canonical = self._plan_for(
@@ -299,8 +251,7 @@ class Endpoint:
         plan is fetched with a counter-neutral peek and the re-run does
         not feed ``plan_execute_s``, so auditing never perturbs
         plan-cache statistics or the compile/execute split.  Empty when
-        the plan is not cached (capacity 0) or needs the interpretive
-        fallback.
+        the plan is not cached (capacity 0).
         """
         query, _canonical = self._canonicalize(query)
         skeleton, params = split_parameters(query)
@@ -381,15 +332,3 @@ class Endpoint:
         if removed and self._charset_maintainer is not None:
             self._charset_maintainer.record_remove(triple)
         return removed
-
-    def close(self) -> None:
-        """Release the fork pool, if one was ever created.
-
-        Mutations invalidate the pool automatically (the forked snapshot
-        is pinned to ``store.version``), but the worker processes
-        themselves only go away on ``close()``.
-        """
-        pool = self._shard_pool
-        if pool is not None:
-            self._shard_pool = None
-            pool.close()

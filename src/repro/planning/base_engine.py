@@ -29,11 +29,11 @@ from repro.net.simulator import NetworkConfig, local_cluster_config
 from repro.obs.registry import MetricsRegistry, get_default_registry
 from repro.obs.trace import Tracer, get_default_tracer
 from repro.planning.normalize import NormalizedQuery, normalize
-from repro.rdf.terms import Variable
+from repro.relational.filters import _EVALUATOR
 from repro.relational.kernels import KernelCounters, kernel_runtime
 from repro.relational.relation import Relation
-from repro.sparql.ast import SelectQuery, VarExpr
-from repro.sparql.evaluator import SelectResult
+from repro.sparql.ast import SelectQuery
+from repro.sparql.evaluator import SelectResult, order_key
 from repro.sparql.parser import parse_query
 
 #: The paper's per-query timeout (one hour) in virtual milliseconds.
@@ -244,41 +244,16 @@ class FederatedEngine:
             relation = relation.distinct()
         rows = relation.rows
         if normalized.order_by:
-            rows = _order_rows(rows, projected, normalized)
+            order_by = normalized.order_by
+            rows = sorted(
+                rows,
+                key=lambda row: order_key(
+                    _EVALUATOR,
+                    {var: term for var, term in zip(projected, row) if term is not None},
+                    order_by,
+                ),
+            )
         rows = rows[normalized.offset:]
         if normalized.limit is not None:
             rows = rows[: normalized.limit]
         return SelectResult(projected, rows)
-
-
-def _order_rows(rows, projected: tuple[Variable, ...], normalized: NormalizedQuery):
-    """Apply ORDER BY at the mediator (variable keys only)."""
-    index_of = {variable: index for index, variable in enumerate(projected)}
-
-    def key(row):
-        keys = []
-        for condition in normalized.order_by:
-            expression = condition.expression
-            value = None
-            if isinstance(expression, VarExpr):
-                position = index_of.get(expression.variable)
-                if position is not None:
-                    value = row[position]
-            sort_key = (0,) if value is None else value.sort_key()
-            keys.append(_Descending(sort_key) if not condition.ascending else sort_key)
-        return tuple(keys)
-
-    return sorted(rows, key=key)
-
-
-class _Descending:
-    __slots__ = ("key",)
-
-    def __init__(self, key):
-        self.key = key
-
-    def __lt__(self, other):
-        return other.key < self.key
-
-    def __eq__(self, other):
-        return isinstance(other, _Descending) and self.key == other.key

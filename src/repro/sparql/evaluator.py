@@ -723,25 +723,36 @@ def sort_id_rows(
     """
     decode = evaluator.dictionary.decode
 
-    def order_key(row: tuple[int | None, ...]):
+    def row_key(row: tuple[int | None, ...]):
         solution = {
             variable: decode(value)
             for variable, value in zip(projected, row)
             if value is not None
         }
-        keys = []
-        for condition in order_by:
-            try:
-                value = evaluator.eval_expression(condition.expression, solution)
-            except _ExpressionError:
-                value = None
-            if isinstance(value, bool):
-                value = typed_literal(value)
-            key = (0,) if value is None else value.sort_key()
-            keys.append(_DescendingKey(key) if not condition.ascending else key)
-        return tuple(keys)
+        return order_key(evaluator, solution, order_by)
 
-    rows.sort(key=order_key)
+    rows.sort(key=row_key)
+
+
+def order_key(evaluator: "_Evaluator", solution: Solution, order_by: Sequence) -> tuple:
+    """The ORDER BY sort key of one term solution.
+
+    Every ORDER BY in the system sorts by this key: the interpretive
+    evaluator and the compiled-plan tail (through :func:`sort_id_rows`)
+    and the federated mediator's result finalization.  An expression
+    that errors or is unbound sorts first, as SPARQL's unbound does.
+    """
+    keys = []
+    for condition in order_by:
+        try:
+            value = evaluator.eval_expression(condition.expression, solution)
+        except _ExpressionError:
+            value = None
+        if isinstance(value, bool):
+            value = typed_literal(value)
+        key = (0,) if value is None else value.sort_key()
+        keys.append(_DescendingKey(key) if not condition.ascending else key)
+    return tuple(keys)
 
 
 # --------------------------------------------------------------------------

@@ -18,10 +18,13 @@ explicit operator pipeline that can be executed many times:
 * projection, DISTINCT, ORDER BY and LIMIT/OFFSET form the pipeline
   tail; ASK and LIMIT queries run the probe pipeline **lazily** so
   evaluation stops as soon as enough rows exist;
-* top-level VALUES clauses compile to **parameter slots**: an endpoint
-  can strip the rows off a bound-join request
+* fully bound top-level VALUES clauses compile to **parameter slots**:
+  an endpoint can strip the rows off a bound-join request
   (:func:`split_parameters`), look the remaining skeleton up in its
   plan cache, and bind the new block into the already-compiled plan.
+  A VALUES clause holding UNDEF stays inline in the skeleton and
+  compiles as fixed rows (certainty per column, UNDEF matching
+  anything), so every query runs through the compiled pipeline.
 
 Operators exchange *positional id rows*: tuples aligned to a
 compile-time variable schema, with ``None`` marking an unbound slot
@@ -33,7 +36,8 @@ Compiled plans are pinned to the store's data ``version``: pattern order
 and statistics choices are only valid while the data is unchanged, so
 caches must drop plans whose :attr:`CompiledPlan.valid` is False.
 
-The interpretive evaluator remains the correctness oracle: property
+The interpretive evaluator supplies expression semantics, pattern
+ordering and ORDER BY keys, and remains the correctness oracle: property
 tests assert compiled results match it (and
 :mod:`repro.sparql.reference` behind it) on randomized queries.
 """
@@ -42,8 +46,7 @@ from __future__ import annotations
 
 from itertools import islice
 from operator import itemgetter
-from time import perf_counter
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from repro.exceptions import EvaluationError
 from repro.rdf.terms import BNode, IRI, Literal, Term, Variable, typed_literal
@@ -71,8 +74,6 @@ from repro.sparql.evaluator import (
     SelectResult,
     _Evaluator,
     estimate_pattern,
-    evaluate_ask,
-    evaluate_select,
     pick_next_pattern,
     sort_id_rows,
 )
@@ -88,42 +89,39 @@ _SEED = ((),)
 # Parameter slots: VALUES rows in/out of a query skeleton
 
 
+def _is_parameter(element) -> bool:
+    """True for a top-level VALUES block that becomes a parameter slot.
+
+    Only fully bound blocks do: a block holding UNDEF stays inline and
+    compiles as fixed rows, so the compiler can track certainty per
+    column instead of assuming every parameter column is bound.
+    """
+    return isinstance(element, ValuesPattern) and not any(
+        None in row for row in element.rows
+    )
+
+
 def split_parameters(query: Query) -> tuple[Query, tuple]:
-    """Strip top-level VALUES rows out of ``query``.
+    """Strip fully bound top-level VALUES rows out of ``query``.
 
     Returns ``(skeleton, params)`` where the skeleton replaces every
-    VALUES clause directly under the WHERE group with an empty-row
-    placeholder and ``params`` holds the stripped row blocks in order.
-    The skeleton is the plan-cache key: every bound-join block issued
-    for the same subquery shares it.
+    UNDEF-free VALUES clause directly under the WHERE group with an
+    empty-row placeholder and ``params`` holds the stripped row blocks
+    in order.  The skeleton is the plan-cache key: every bound-join
+    block issued for the same subquery shares it.  A block containing
+    UNDEF stays in the skeleton, so it keys its own plan.
     """
-    where = query.where
-    if not any(isinstance(el, ValuesPattern) for el in where.elements):
-        return query, ()
     elements: list = []
     params: list[tuple] = []
-    for element in where.elements:
-        if isinstance(element, ValuesPattern):
+    for element in query.where.elements:
+        if _is_parameter(element):
             params.append(element.rows)
             elements.append(ValuesPattern(element.vars, ()))
         else:
             elements.append(element)
+    if not params:
+        return query, ()
     return _replace_where(query, GroupPattern(elements)), tuple(params)
-
-
-def bind_parameters(query: Query, params: Sequence[Sequence]) -> Query:
-    """Inverse of :func:`split_parameters`: put row blocks back in."""
-    slots = [el for el in query.where.elements if isinstance(el, ValuesPattern)]
-    if len(slots) != len(params):
-        raise EvaluationError(
-            f"expected {len(slots)} parameter blocks, got {len(params)}"
-        )
-    blocks = iter(params)
-    elements = [
-        ValuesPattern(el.vars, next(blocks)) if isinstance(el, ValuesPattern) else el
-        for el in query.where.elements
-    ]
-    return _replace_where(query, GroupPattern(elements))
 
 
 def _replace_where(query: Query, where: GroupPattern) -> Query:
@@ -758,35 +756,6 @@ def _pipeline_sort_order(plan: _GroupPlan) -> tuple:
     return tuple(order)
 
 
-def _ops_shardable(ops) -> bool:
-    """True when chunked ``run_list`` concatenation equals one whole run.
-
-    Every operator processes rows independently and in order except
-    UNION, whose batch form is branch-major over the *whole* input —
-    chunking would interleave branch outputs differently.  Groups are
-    checked recursively; OPTIONAL / EXISTS / sub-SELECT sub-plans run
-    per-row, so their internals don't matter.
-    """
-    for op in ops:
-        if isinstance(op, _UnionOp):
-            return False
-        if isinstance(op, _GroupOp) and not _ops_shardable(op.plan.ops):
-            return False
-    return True
-
-
-def _split_chunks(rows: list, shards: int) -> list[list]:
-    """Split ``rows`` into ``shards`` contiguous, near-even chunks."""
-    size, extra = divmod(len(rows), shards)
-    chunks = []
-    start = 0
-    for index in range(shards):
-        end = start + size + (1 if index < extra else 0)
-        chunks.append(rows[start:end])
-        start = end
-    return chunks
-
-
 # --------------------------------------------------------------------------
 # Compiler
 
@@ -976,9 +945,8 @@ class _Compiler:
                     certain.add(var)
         else:
             fixed_rows = ()
-            # Parameter blocks are UNDEF-free by contract: executions
-            # with None in a bound row fall back to the interpretive
-            # evaluator (CompiledPlan._needs_fallback).
+            # Only UNDEF-free blocks become parameter slots (see
+            # _is_parameter), and _resolve_params rejects UNDEF rows.
             certain.update(element.vars)
         passthrough = base == 0 and targets == list(range(len(element.vars)))
         ops.append(
@@ -1380,15 +1348,15 @@ class CompiledPlan:
     """A query compiled against one store, executable many times.
 
     ``params`` to the execute methods supplies one block of term rows
-    per parameter slot (top-level VALUES clause, in order); omitted, the
-    rows the query was compiled with are used.  Executions whose bound
-    rows contain UNDEF fall back to the interpretive evaluator — the
-    compiler assumes parameter columns are fully bound.
+    per parameter slot (fully bound top-level VALUES clause, in order);
+    omitted, the rows the query was compiled with are used.  Parameter
+    rows must be fully bound: a VALUES block with UNDEF compiles inline
+    as fixed rows instead, and an explicit parameter row holding
+    ``None`` raises :class:`EvaluationError`.
     """
 
     __slots__ = (
         "store",
-        "query",
         "core",
         "param_specs",
         "default_params",
@@ -1396,9 +1364,8 @@ class CompiledPlan:
         "is_ask",
     )
 
-    def __init__(self, store, query, core, param_specs, default_params, is_ask):
+    def __init__(self, store, core, param_specs, default_params, is_ask):
         self.store = store
-        self.query = query
         self.core = core
         self.param_specs = param_specs
         self.default_params = default_params
@@ -1432,12 +1399,9 @@ class CompiledPlan:
         estimate against the measured matches-per-input-row.  Pure
         local re-execution: no store mutation, no cache-counter
         traffic, so the EXPLAIN ANALYZE layer can call it without
-        perturbing plan-cache statistics or virtual time.  Empty for
-        parameter blocks that need the interpretive fallback.
+        perturbing plan-cache statistics or virtual time.
         """
         params = self._resolve_params(params)
-        if _needs_fallback(params):
-            return []
         ctx = _ExecutionContext(self.store, self._encode_params(params))
         records: list[dict] = []
         rows = list(_SEED)
@@ -1467,11 +1431,6 @@ class CompiledPlan:
 
     def execute_select(self, params=None, max_rows: int | None = None) -> SelectResult:
         params = self._resolve_params(params)
-        if _needs_fallback(params):
-            result = evaluate_select(self.store, bind_parameters(self.query, params))
-            if max_rows is not None:
-                result.rows = result.rows[:max_rows]
-            return result
         ctx = _ExecutionContext(self.store, self._encode_params(params))
         projected, id_rows = self.core.id_result(ctx, max_rows)
         decode_row = self.store.dictionary.decode_row
@@ -1481,82 +1440,8 @@ class CompiledPlan:
             sort_order=self.core.sort_order,
         )
 
-    def execute_select_sharded(
-        self, params=None, shards: int = 1, max_rows: int | None = None
-    ) -> tuple[SelectResult, list[dict]]:
-        """Run the WHERE pipeline in ``shards`` contiguous input chunks.
-
-        Sharding partitions the pipeline's *input rows* (the seed row, or
-        a passthrough VALUES block / first-probe output), runs the
-        remaining operators chunk by chunk, and concatenates in chunk
-        order — every operator except UNION maps input rows to output
-        rows independently and in order, so the concatenation is
-        byte-identical to the unsharded run.  Returns the result plus one
-        stats dict per shard for the endpoint's lane metrics.  Plans that
-        cannot be sharded safely (UNION, interpretive fallback) run
-        unsharded and report no shard stats.
-        """
-        params = self._resolve_params(params)
-        if (
-            shards <= 1
-            or self.is_ask
-            or _needs_fallback(params)
-            or not _ops_shardable(self.core.plan.ops)
-        ):
-            return self.execute_select(params, max_rows=max_rows), []
-        core = self.core
-        ctx = _ExecutionContext(self.store, self._encode_params(params))
-        ops = core.plan.ops
-        rest = ops
-        base_rows = list(_SEED)
-        if ops and isinstance(ops[0], _ValuesOp) and ops[0].passthrough:
-            base_rows = list(ops[0].rows_for(ctx))
-            rest = ops[1:]
-        elif ops:
-            base_rows = ops[0].run_list(ctx, base_rows)
-            rest = ops[1:]
-        shards = min(shards, max(1, len(base_rows)))
-        shard_stats: list[dict] = []
-        rows: list = []
-        for index, chunk in enumerate(_split_chunks(base_rows, shards)):
-            started = perf_counter()
-            out = chunk
-            for op in rest:
-                if not out:
-                    break
-                out = op.run_list(ctx, out)
-            rows.extend(out)
-            shard_stats.append(
-                {
-                    "shard": index,
-                    "shards": shards,
-                    "input_rows": len(chunk),
-                    "output_rows": len(out),
-                    "seconds": perf_counter() - started,
-                }
-            )
-        if core.aggregate is not None:
-            id_rows = core._aggregate_rows(ctx, rows)
-        else:
-            if not core.identity:
-                proj_map = core.proj_map
-                rows = [
-                    tuple(None if i is None else row[i] for i in proj_map)
-                    for row in rows
-                ]
-            id_rows = core._finish(ctx, rows, max_rows)
-        decode_row = self.store.dictionary.decode_row
-        result = SelectResult(
-            core.projected,
-            [decode_row(row) for row in id_rows],
-            sort_order=core.sort_order,
-        )
-        return result, shard_stats
-
     def execute_ask(self, params=None) -> bool:
         params = self._resolve_params(params)
-        if _needs_fallback(params):
-            return evaluate_ask(self.store, bind_parameters(self.query, params))
         ctx = _ExecutionContext(self.store, self._encode_params(params))
         return self.core.ask(ctx)
 
@@ -1577,6 +1462,11 @@ class CompiledPlan:
                     raise EvaluationError(
                         f"parameter row arity {len(row)} != {len(vars)}"
                     )
+                if None in row:
+                    raise EvaluationError(
+                        "parameter rows must be fully bound; "
+                        "compile a VALUES block with UNDEF inline"
+                    )
         return params
 
     def _encode_params(self, params) -> tuple:
@@ -1586,22 +1476,19 @@ class CompiledPlan:
         )
 
 
-def _needs_fallback(params) -> bool:
-    return any(None in row for block in params for row in block)
-
-
 def compile_query(store: TripleStore, query: Query) -> CompiledPlan:
     """Compile ``query`` into a reusable physical plan over ``store``.
 
-    Top-level VALUES clauses become parameter slots; their current rows
-    become the plan's default parameters, so ``compile_query(q).execute()``
-    is a drop-in for ``evaluate(store, q)``.
+    Fully bound top-level VALUES clauses become parameter slots; their
+    current rows become the plan's default parameters, so
+    ``compile_query(q).execute()`` is a drop-in for ``evaluate(store, q)``.
+    A top-level VALUES clause holding UNDEF compiles as fixed rows.
     """
     param_slots: dict[int, int] = {}
     param_specs: list[tuple] = []
     default_params: list[tuple] = []
     for element in query.where.elements:
-        if isinstance(element, ValuesPattern):
+        if _is_parameter(element):
             param_slots[id(element)] = len(param_specs)
             param_specs.append(element.vars)
             default_params.append(element.rows)
@@ -1623,7 +1510,7 @@ def compile_query(store: TripleStore, query: Query) -> CompiledPlan:
     else:
         raise EvaluationError(f"unsupported query type {type(query).__name__}")
     return CompiledPlan(
-        store, query, core, tuple(param_specs), tuple(default_params), is_ask
+        store, core, tuple(param_specs), tuple(default_params), is_ask
     )
 
 

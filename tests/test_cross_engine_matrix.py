@@ -29,6 +29,13 @@ def workloads(lubm2, qfed_federation, largerdf_federation):
     bio_federation = bio2rdf.build_federation(seed=7)
     lubm_texts = dict(queries_lubm.queries())
     lubm_texts.update(lubm.queries())
+    # ORDER BY over an expression key, cut by LIMIT: the top five
+    # emails are distinct, so only a correct sort returns the oracle's rows.
+    lubm_texts["OrderByExpression"] = """
+        PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>
+        SELECT ?s ?e WHERE { ?s ub:name ?n . ?s ub:emailAddress ?e }
+        ORDER BY DESC(STR(?e)) LIMIT 5
+    """
     return {
         "lubm": (lubm2, lubm_texts),
         "qfed": (qfed_federation, {**qfed.queries(), "Drug": qfed.drug_query()}),

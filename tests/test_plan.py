@@ -1,7 +1,7 @@
 """Tests for the compiled physical plan layer (``repro.sparql.plan``).
 
 Covers filter pushdown into the probe pipeline, VALUES parameter slots
-and skeleton splitting, UNDEF fallback, ASK / LIMIT early termination
+and skeleton splitting, inline UNDEF VALUES, ASK / LIMIT early termination
 (counted in store index probes), and the LRU plan / probe caches with
 store-version invalidation.
 """
@@ -30,11 +30,7 @@ from repro.sparql.ast import (
     VarExpr,
 )
 from repro.sparql.evaluator import evaluate_ask, evaluate_select
-from repro.sparql.plan import (
-    bind_parameters,
-    compile_query,
-    split_parameters,
-)
+from repro.sparql.plan import compile_query, split_parameters
 from repro.store import TripleStore
 
 EX = "http://ex.org/"
@@ -172,7 +168,7 @@ class TestParameterSlots:
             select_vars=(X, Y, Z),
         )
 
-    def test_split_strips_rows_and_bind_round_trips(self):
+    def test_split_strips_rows_and_bind_round_trips(self, store):
         rows = ((_iri("student0_0"),), (_iri("student1_1"),))
         query = self._values_query(rows)
         skeleton, params = split_parameters(query)
@@ -181,7 +177,10 @@ class TestParameterSlots:
         other, _ = split_parameters(self._values_query(((_iri("student2_0"),),)))
         assert skeleton == other
         assert hash(skeleton) == hash(other)
-        assert bind_parameters(skeleton, params) == query
+        # Binding the stripped rows into the skeleton's plan answers the
+        # original query.
+        got = compile_query(store, skeleton).execute_select(params)
+        assert got.rows == compile_query(store, query).execute_select().rows
 
     def test_one_plan_serves_many_blocks(self, store):
         block1 = ((_iri("student0_0"),), (_iri("student1_0"),))
@@ -198,16 +197,26 @@ class TestParameterSlots:
             fresh = compile_query(store, bound).execute_select()
             assert got.rows == fresh.rows
 
-    def test_undef_parameter_falls_back_to_interpreter(self, store):
-        # An UNDEF (None) in a bound row joins like an unbound column;
-        # the compiled pipeline assumes fully bound parameters, so this
-        # must detour through the interpretive evaluator — transparently.
+    def test_undef_values_compile_inline(self, store):
+        # An UNDEF (None) row joins like an unbound column.  Its block
+        # is not a parameter: it stays in the skeleton and compiles as
+        # fixed rows, so the compiled pipeline answers it directly.
+        from repro.sparql.evaluator import EvaluationError
+
         block = ((_iri("student0_0"),), (None,))
         query = self._values_query(block)
+        skeleton, params = split_parameters(query)
+        assert skeleton == query and params == ()
         plan = compile_query(store, query)
+        assert plan.param_specs == ()
+        assert plan.explain()[0] == "values"
         expected = evaluate_select(store, query)
-        got = plan.execute_select([block])
+        got = plan.execute_select()
         assert Counter(got.rows) == Counter(expected.rows)
+        # Explicit parameter rows must be fully bound.
+        bound = compile_query(store, self._values_query(((_iri("student0_0"),),)))
+        with pytest.raises(EvaluationError):
+            bound.execute_select([block])
 
     def test_wrong_arity_rejected(self, store):
         from repro.sparql.evaluator import EvaluationError
@@ -404,6 +413,50 @@ class TestEndpointPlanCache:
         assert endpoint.plan_cache.invalidations == 1
 
 
+class TestOneExecutionPath:
+    """Endpoints answer every query through the compiled plan.
+
+    The interpretive pattern evaluator is the oracle only: with its
+    ``eval_group`` disabled, the endpoint still answers each query shape
+    that once detoured through it (VALUES with UNDEF) or that exercises
+    OPTIONAL, FILTER, top-level NOT EXISTS and ASK.
+    """
+
+    PREFIX = "PREFIX ex: <http://ex.org/>\n"
+    SELECTS = [
+        "SELECT ?x ?y WHERE { VALUES ?x { ex:student0_0 UNDEF } ?x ex:advisor ?y }",
+        "SELECT ?x ?y ?z WHERE { ?x ex:advisor ?y OPTIONAL { ?y ex:teacherOf ?z } "
+        "FILTER(!BOUND(?z) || STR(?z) != \"http://ex.org/course3\") }",
+        "SELECT ?p ?c WHERE { ?p ex:teacherOf ?c FILTER NOT EXISTS "
+        "{ ?s ex:advisor ?p . ?s ex:takesCourse ex:course0 } }",
+    ]
+    ASKS = [
+        "ASK { VALUES ?x { ex:nobody UNDEF } ?x ex:advisor ex:prof1 }",
+        "ASK { ?x ex:advisor ex:nobody }",
+    ]
+
+    def test_endpoint_never_reaches_the_interpretive_evaluator(self, monkeypatch):
+        from repro.sparql import parse_query
+        from repro.sparql.evaluator import _Evaluator
+
+        endpoint = Endpoint("ep", _university_triples())
+        selects = [parse_query(self.PREFIX + text) for text in self.SELECTS]
+        asks = [parse_query(self.PREFIX + text) for text in self.ASKS]
+        expected_rows = [
+            Counter(evaluate_select(endpoint.store, query).rows) for query in selects
+        ]
+        expected_asks = [evaluate_ask(endpoint.store, query) for query in asks]
+        assert all(expected_rows) and expected_asks == [True, False]
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("interpretive pattern evaluation at the endpoint")
+
+        monkeypatch.setattr(_Evaluator, "eval_group", refuse)
+        for query, expected in zip(selects, expected_rows):
+            assert Counter(endpoint.select(query).rows) == expected
+        assert [endpoint.ask(query) for query in asks] == expected_asks
+
+
 class TestSortOrderMetadata:
     """Compiled pipelines carry the sorted backend's ordering promise."""
 
@@ -446,40 +499,3 @@ class TestSortOrderMetadata:
         plan = compile_query(store, skeleton)
         assert plan.sort_order == ()
         assert len(plan.execute_select(params).rows) == 2
-
-
-class TestShardedPlanExecution:
-    """Plan-level lane chunking equals the whole-run evaluation."""
-
-    @pytest.mark.parametrize("shards", [1, 2, 3, 7])
-    def test_sharded_equals_serial(self, store, shards):
-        s, p, o = Variable("s"), Variable("p"), Variable("o")
-        query = SelectQuery(
-            where=GroupPattern([BGP([TriplePattern(s, p, o)])]),
-            select_vars=(s, p, o),
-        )
-        plan = compile_query(store, query)
-        serial = plan.execute_select()
-        sharded, stats = plan.execute_select_sharded(shards=shards)
-        assert sharded.vars == serial.vars
-        assert sharded.rows == serial.rows
-        if shards == 1:
-            # Single lane takes the plain path and reports no lane stats.
-            assert stats == []
-            return
-        assert len(stats) <= shards
-        assert sum(entry["output_rows"] for entry in stats) == len(serial.rows)
-        for index, entry in enumerate(stats):
-            assert entry["shard"] == index
-            assert entry["seconds"] >= 0
-
-    def test_sharded_respects_max_rows(self, store):
-        s, o = Variable("s"), Variable("o")
-        query = SelectQuery(
-            where=GroupPattern([BGP([TriplePattern(s, ADVISOR, o)])]),
-            select_vars=(s, o),
-        )
-        plan = compile_query(store, query)
-        capped, __ = plan.execute_select_sharded(shards=3, max_rows=5)
-        assert len(capped.rows) == 5
-        assert capped.rows == plan.execute_select(max_rows=5).rows

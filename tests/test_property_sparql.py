@@ -187,7 +187,7 @@ from repro.sparql.ast import (
     ValuesPattern,
     VarExpr,
 )
-from repro.sparql.plan import compile_query
+from repro.sparql.plan import compile_query, split_parameters
 
 _maybe_filter = st.one_of(
     st.none(),
@@ -260,24 +260,27 @@ def test_compiled_matches_interpretive(triples, patterns, values, optional, filt
 def test_cached_plan_rebinds_like_fresh_compile(triples, patterns, rows1, rows2):
     """One compiled plan serves successive bound-join blocks.
 
-    Executing a cached plan with a new VALUES block must be
-    bit-identical (schema, rows, and row order) to compiling the bound
-    query from scratch, and multiset-equal to the interpretive oracle.
+    Plans are cached by skeleton exactly as ``Endpoint._plan_for`` does:
+    a fully bound block becomes a parameter of one shared plan, a block
+    with UNDEF stays in the skeleton and keys its own plan.  Executing
+    the cached plan must be bit-identical (schema, rows, and row order)
+    to compiling the bound query from scratch, and multiset-equal to the
+    interpretive oracle.
     """
     store = TripleStore()
     store.add_all(triples)
     values_var = (Variable("a"),)
-    query1 = SelectQuery(
-        where=GroupPattern([ValuesPattern(values_var, tuple(rows1)), BGP(patterns)]),
-        select_vars=None,
-    )
-    query2 = SelectQuery(
-        where=GroupPattern([ValuesPattern(values_var, tuple(rows2)), BGP(patterns)]),
-        select_vars=None,
-    )
-    plan = compile_query(store, query1)
-    for query, rows in ((query1, rows1), (query2, rows2)):
-        rebound = plan.execute_select([tuple(rows)])
+    plans: dict = {}
+    for rows in (rows1, rows2):
+        query = SelectQuery(
+            where=GroupPattern([ValuesPattern(values_var, tuple(rows)), BGP(patterns)]),
+            select_vars=None,
+        )
+        skeleton, params = split_parameters(query)
+        plan = plans.get(skeleton)
+        if plan is None:
+            plan = plans[skeleton] = compile_query(store, skeleton)
+        rebound = plan.execute_select(params)
         fresh = compile_query(store, query).execute_select()
         assert rebound.vars == fresh.vars
         assert rebound.rows == fresh.rows
