@@ -30,7 +30,12 @@ pre-columnar implementation) on identical encoded data:
 * ``mediator_filter_join`` — a B5-shaped cross-component
                           ``FILTER(?level = ?beta)``: cross product plus
                           filter (before) vs the value-keyed join on the
-                          equality key (after), rows asserted identical.
+                          equality key (after), rows asserted identical;
+* ``fragment_prune``    — endpoint-side digest pruning of a LUBM-shaped
+                          partial-evaluation fragment at ~95% prune rate:
+                          decode every row then hash (before) vs
+                          id-space pruning then decoding the survivors
+                          (after), rows asserted identical.
 
 Plus the **compiled plan suite** (emitted to ``BENCH_plan.json``), which
 times the compile-once endpoint engine (:mod:`repro.sparql.plan`) on the
@@ -97,6 +102,7 @@ from repro.relational.relation import Relation
 from repro.sparql.ast import BGP, Comparison, SelectQuery, VarExpr
 from repro.sparql.evaluator import _Evaluator, evaluate_select
 from repro.sparql.parser import parse_query
+from repro.sparql.partial import prune_id_rows
 from repro.sparql.plan import compile_query, split_parameters
 from repro.sparql.reference import (
     ReferenceStore,
@@ -104,6 +110,7 @@ from repro.sparql.reference import (
     reference_extend,
     reference_hash_join,
 )
+from repro.store.digests import TermFingerprints, stable_term_hash
 from repro.store.triple_store import TripleStore
 
 
@@ -126,6 +133,19 @@ def _time(fn, iterations: int) -> float:
         if elapsed < best:
             best = elapsed
     return best
+
+
+def _time_pair(before_fn, after_fn, iterations: int) -> tuple[float, float]:
+    """Best-of-N seconds for each of two contenders, interleaved and
+    alternating which runs first, so host speed drift hits both alike."""
+    best = {before_fn: float("inf"), after_fn: float("inf")}
+    for round_index in range(iterations):
+        order = (before_fn, after_fn) if round_index % 2 == 0 else (after_fn, before_fn)
+        for fn in order:
+            start = time.perf_counter()
+            fn()
+            best[fn] = min(best[fn], time.perf_counter() - start)
+    return best[before_fn], best[after_fn]
 
 
 def _solution_bag(solutions):
@@ -422,6 +442,55 @@ def bench_mediator_filter_join(iterations: int, seed: int = 42) -> dict:
     )
 
 
+def bench_fragment_prune(encoded: TripleStore, iterations: int) -> dict:
+    # A LUBM-shaped partial-evaluation fragment, (student, course) rows
+    # crossing on the student, against a join-value digest that keeps
+    # about 5% of the students: the prune rate lubm-geo-auto fragments
+    # see.  Before: decode every row, then hash each crossing term (the
+    # term-space endpoint path); after: prune the id rows against the
+    # warm per-id fingerprint memo, then decode only the survivors.
+    student = Variable("x")
+    query = parse_query(f"SELECT ?x ?y WHERE {{ ?x <{UB}takesCourse> ?y . }}")
+    vars, id_rows = compile_query(encoded, query).execute_ids()
+    dictionary = encoded.dictionary
+    students = sorted({row[0] for row in id_rows})
+    digest = frozenset(stable_term_hash(dictionary.decode(s)) for s in students[::20])
+    digests = ((student, digest),)
+    fingerprints = TermFingerprints(dictionary).table()
+    decode_row = dictionary.decode_row
+    column = vars.index(student)
+
+    def decode_then_hash():
+        rows = [decode_row(row) for row in id_rows]
+        return [
+            row for row in rows if row[column] is None or stable_term_hash(row[column]) in digest
+        ]
+
+    def prune_then_decode():
+        kept, __ = prune_id_rows(vars, id_rows, digests, fingerprints)
+        return [decode_row(row) for row in kept]
+
+    shipped = prune_then_decode()
+    assert shipped == decode_then_hash(), "id-space pruning diverges from term-space"
+    # One fragment is well under a millisecond; time a batch per sample.
+    repeats = 20
+    before, after = _time_pair(
+        lambda: [decode_then_hash() for __ in range(repeats)],
+        lambda: [prune_then_decode() for __ in range(repeats)],
+        iterations,
+    )
+    before /= repeats
+    after /= repeats
+    return {
+        "before_s": before,
+        "after_s": after,
+        "speedup": before / after if after else float("inf"),
+        "fragment_rows": len(id_rows),
+        "shipped_rows": len(shipped),
+        "prune_rate": 1 - len(shipped) / len(id_rows),
+    }
+
+
 def run_join_suite(encoded: TripleStore, iterations: int) -> dict:
     benches = {}
     benches["mediator_join"] = bench_columnar_mediator_join(encoded, iterations)
@@ -432,6 +501,11 @@ def run_join_suite(encoded: TripleStore, iterations: int) -> dict:
     print(f"join: bound_join_blocks: {benches['bound_join_blocks']['speedup']:.2f}x")
     benches["mediator_filter_join"] = bench_mediator_filter_join(iterations)
     print(f"join: mediator_filter_join: {benches['mediator_filter_join']['speedup']:.2f}x")
+    benches["fragment_prune"] = bench_fragment_prune(encoded, iterations)
+    print(
+        f"join: fragment_prune: {benches['fragment_prune']['speedup']:.2f}x "
+        f"({benches['fragment_prune']['prune_rate']:.0%} pruned)"
+    )
     return benches
 
 
@@ -654,8 +728,7 @@ def bench_store_probe(triples: list, iterations: int) -> dict:
         return matched
 
     assert run(dict_store) == run(sorted_store)
-    before = _time(lambda: run(dict_store), iterations)
-    after = _time(lambda: run(sorted_store), iterations)
+    before, after = _time_pair(lambda: run(dict_store), lambda: run(sorted_store), iterations)
     return {
         "before_s": before,
         "after_s": after,
@@ -753,25 +826,32 @@ def run_scale_gate(scale: float, seed: int) -> dict:
     # At paper-sized endpoints the columnar bulk load (three sorts into
     # array('q') runs) edges out per-triple dict-of-sets insertion,
     # mostly because the dict backend leaves millions of small sets for
-    # the cyclic GC to traverse.  Interleave best-of-2 timed builds so
-    # allocator and GC state drift hits both sides alike.
+    # the cyclic GC to traverse.  Interleave best-of-5 timed builds,
+    # alternating which backend goes first, so allocator and GC state
+    # drift hits both sides alike.
     import gc
 
+    def timed_build(backend: str) -> float:
+        gc.collect()
+        started = time.perf_counter()
+        built = TripleStore(name=f"scale-gate-{backend}", backend=backend)
+        built.add_all(triples)
+        elapsed = time.perf_counter() - started
+        assert len(built) == len(store), "backends disagree at scale"
+        return elapsed
+
     build_s = dict_build_s = float("inf")
-    for __ in range(2):
-        gc.collect()
-        started = time.perf_counter()
-        dict_store = TripleStore(name="scale-gate-dict", backend="dict")
-        dict_store.add_all(triples)
-        dict_build_s = min(dict_build_s, time.perf_counter() - started)
-        assert len(dict_store) == len(store), "backends disagree at scale"
-        del dict_store
-        gc.collect()
-        started = time.perf_counter()
-        timed_store = TripleStore(name="scale-gate-timed")
-        timed_store.add_all(triples)
-        build_s = min(build_s, time.perf_counter() - started)
-        del timed_store
+    round_ratios = []
+    for round_index in range(5):
+        order = ("dict", "sorted") if round_index % 2 == 0 else ("sorted", "dict")
+        elapsed = {backend: timed_build(backend) for backend in order}
+        dict_build_s = min(dict_build_s, elapsed["dict"])
+        build_s = min(build_s, elapsed["sorted"])
+        round_ratios.append(elapsed["dict"] / elapsed["sorted"])
+    print(
+        "store scale gate: per-round bulk-load ratios (dict/sorted) "
+        + " ".join(f"{ratio:.2f}x" for ratio in round_ratios)
+    )
 
     takes_course = IRI(f"{UB}takesCourse")
     started = time.perf_counter()

@@ -12,7 +12,9 @@
    floor or drops far below the checked-in baseline.  Speedups are
    in-run ratios on identical data, so the gate is machine-tolerant.
    ``mediator_filter_join`` compares cross product + filter against the
-   value-keyed FILTER join instead of row vs columnar runtimes.
+   value-keyed FILTER join instead of row vs columnar runtimes, and
+   ``fragment_prune`` compares decode-then-hash fragment pruning against
+   id-space pruning that decodes only the surviving rows.
 4. Compiled-plan regression gate: same mechanism over the compiled plan
    suite (BENCH_plan.json) — cached-plan bound-join execution must stay
    at least twice as fast as per-request interpretive planning.
@@ -97,6 +99,7 @@ def check_microbench_smoke() -> None:
         "mediator_join_big",
         "bound_join_blocks",
         "mediator_filter_join",
+        "fragment_prune",
     }
     assert set(join_report["benches"]) == join_expected, (
         f"missing join benches: {join_report['benches']}"
@@ -175,11 +178,15 @@ def check_microbench_smoke() -> None:
 #: mediator_filter_join's 10.0: the value-keyed FILTER join must stay an
 #: order of magnitude ahead of cross product + filter on a B5-shaped
 #: 600 x 480 input (it replaces O(n*m) work with O(n+m)).
+#: fragment_prune's 3.0: at a ~95% prune rate, pruning fragment id rows
+#: against the fingerprint memo and decoding only the survivors must
+#: stay at least three times faster than decoding and hashing every row.
 _GATE_FLOORS = {
     "mediator_join": 2.0,
     "mediator_join_big": 2.0,
     "bound_join_blocks": 1.5,
     "mediator_filter_join": 10.0,
+    "fragment_prune": 3.0,
 }
 #: A gate run may be this much slower (relative) than the committed
 #: baseline before it counts as a regression; in-run speedup ratios are
@@ -314,7 +321,9 @@ def check_store_regression() -> None:
     # Floor 1.05: at 1e5+ triples the columnar bulk load must at least
     # hold its small edge over dict-of-sets insertion (typically
     # 1.2-1.35x with the cyclic GC on; the margin narrows under load,
-    # so the floor only guards against losing outright).
+    # so the floor only guards against losing outright).  Both sides
+    # are best-of-5 interleaved builds, alternating which goes first;
+    # the bench prints the per-round ratios.
     assert scale_gate["build_speedup"] >= 1.05, (
         f"sorted bulk load lost its large-scale advantage: "
         f"{scale_gate['build_speedup']:.2f}x vs dict"

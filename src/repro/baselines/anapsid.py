@@ -42,7 +42,7 @@ from repro.planning.source_selection import SourceSelection
 from repro.rdf.terms import Variable
 from repro.relational.filters import make_filter_predicate
 from repro.relational.relation import Relation
-from repro.sparql.ast import Expression, VarExpr
+from repro.sparql.ast import Expression
 
 
 @dataclass
@@ -220,8 +220,7 @@ class AnapsidEngine(FederatedEngine):
         for expression in residue:
             needed |= expression.variables()
         for condition in normalized.order_by:
-            if isinstance(condition.expression, VarExpr):
-                needed.add(condition.expression.variable)
+            needed |= condition.expression.variables()
         counts: dict[Variable, int] = {}
         for pattern in branch.all_patterns():
             for variable in pattern.variables():

@@ -29,7 +29,7 @@ from repro.planning.source_selection import SourceSelection, select_sources
 from repro.rdf.terms import Variable
 from repro.relational.filters import make_filter_predicate
 from repro.relational.relation import Relation
-from repro.sparql.ast import Expression, VarExpr
+from repro.sparql.ast import Expression
 
 
 @dataclass
@@ -263,8 +263,7 @@ class FedXEngine(FederatedEngine):
         for expression in residue:
             needed |= expression.variables()
         for condition in normalized.order_by:
-            if isinstance(condition.expression, VarExpr):
-                needed.add(condition.expression.variable)
+            needed |= condition.expression.variables()
         # Join variables must be carried through the pipeline.
         counts: dict[Variable, int] = {}
         for pattern in branch.all_patterns():

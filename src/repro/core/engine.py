@@ -52,7 +52,6 @@ from repro.planning.source_selection import SourceSelection, select_sources
 from repro.rdf.terms import Variable
 from repro.rdf.triple import TriplePattern
 from repro.relational.relation import Relation
-from repro.sparql.ast import VarExpr
 
 
 @dataclass
@@ -517,8 +516,7 @@ class LusailEngine(FederatedEngine):
             for expression in filters:
                 needed |= expression.variables()
         for condition in normalized.order_by:
-            if isinstance(condition.expression, VarExpr):
-                needed.add(condition.expression.variable)
+            needed |= condition.expression.variables()
         seen: dict[Variable, int] = {}
         for subquery in plan.subqueries:
             for variable in subquery.variables():

@@ -28,7 +28,7 @@ from repro.net import regions as regions_module
 from repro.rdf.triple import Triple, TriplePattern
 from repro.sparql.ast import BGP, AskQuery, ExistsExpr, Filter, Query, SelectQuery
 from repro.sparql.evaluator import SelectResult
-from repro.sparql.partial import FragmentResult, PartialResult, PartialSpec, prune_rows
+from repro.sparql.partial import FragmentResult, PartialResult, PartialSpec, prune_id_rows
 from repro.sparql.plan import CompiledPlan, compile_query, split_parameters
 from repro.sparql.skeleton import Canonicalized, canonicalize_query, is_fragment_shape
 from repro.store.triple_store import TripleStore
@@ -94,9 +94,9 @@ class Endpoint:
         #: created lazily by :meth:`charset_summary`; None until the
         #: statistics path first asks for a summary.
         self._charset_maintainer = None
-        #: Join-value digest index (repro.store.digests), created lazily
-        #: by :meth:`join_digest`; None until partial evaluation first
-        #: asks for a fingerprint set.
+        #: Join-value digest index (repro.store.digests) with the per-id
+        #: fingerprint memo, created lazily by :meth:`_digests`; None
+        #: until partial evaluation first asks for a fingerprint.
         self._digest_index = None
         #: Failure injection: an unavailable endpoint refuses requests,
         #: which engines surface as a runtime error (the paper's plots
@@ -184,55 +184,73 @@ class Endpoint:
             result = canonical.restore(result)
         return result
 
-    def _fragment_select(self, query: SelectQuery) -> SelectResult:
-        """Run one partial-evaluation SELECT through the plan cache.
+    def _fragment_ids(self, query: SelectQuery) -> tuple[SelectResult, list]:
+        """Run one partial-evaluation SELECT through the plan cache in id
+        space (truncated at ``result_limit``).
 
         Fragment-shaped queries (flat BGP + FILTER SELECTs, see
         :func:`repro.sparql.skeleton.is_fragment_shape`) are skeleton-
         canonicalized first, so branch fragments that differ only in
         variable names or embedded constants replay one compiled plan
-        with fresh parameter bindings.
+        with fresh parameter bindings.  Returns a row-less result whose
+        header is in the query's own variable names, plus the id rows
+        it describes; the caller decodes what it ships.
         """
         canonical = canonicalize_query(query) if is_fragment_shape(query) else None
-        plan, params, _probe_canonical = self._plan_for(
+        plan, params, probe_canonical = self._plan_for(
             query if canonical is None else canonical.query
         )
         started = perf_counter()
-        result = plan.execute_select(params, max_rows=self.result_limit)
+        projected, id_rows = plan.execute_ids(params, max_rows=self.result_limit)
         self.plan_execute_s += perf_counter() - started
-        if canonical is not None:
-            result = canonical.restore(result)
-        return result
+        header = SelectResult(projected, (), sort_order=plan.sort_order)
+        for restore in (probe_canonical, canonical):
+            if restore is not None:
+                header = restore.restore(header)
+        return header, id_rows
 
     def partial_evaluate(self, spec: PartialSpec) -> PartialResult:
         """Answer one partial-evaluation round (the whole branch at once).
 
         Evaluates the local-complete whole-branch query (when shipped)
         and every fragment SELECT locally, then applies each fragment's
-        join-value digests so rows that cannot participate in any
-        cross-endpoint match never reach the wire.
+        join-value digests to its id rows, so rows that cannot
+        participate in any cross-endpoint match are dropped before they
+        are decoded, let alone reach the wire.
         """
+        decode_row = self.dictionary.decode_row
         complete = None
         if spec.complete is not None:
-            complete = self._fragment_select(spec.complete)
+            complete, id_rows = self._fragment_ids(spec.complete)
+            complete.rows = [decode_row(row) for row in id_rows]
         fragments: list[FragmentResult] = []
         for fragment in spec.fragments:
-            result = self._fragment_select(fragment.query)
-            kept, pruned = prune_rows(result, fragment.digests)
-            result.rows = kept
+            result, id_rows = self._fragment_ids(fragment.query)
+            pruned = 0
+            if fragment.digests:
+                # Fetched after execution: the run may intern constants.
+                fingerprints = self._digests().fingerprints.table()
+                id_rows, pruned = prune_id_rows(
+                    result.vars, id_rows, fragment.digests, fingerprints
+                )
+            result.rows = [decode_row(row) for row in id_rows]
             fragments.append(FragmentResult(fragment.id, result, pruned))
         return PartialResult(complete, fragments)
 
-    def join_digest(self, predicate, position) -> frozenset[int]:
-        """Fingerprints of this store's values for ``predicate`` at
-        ``position`` (see :mod:`repro.store.digests`); lazily built and
-        invalidated with ``store.version``."""
+    def _digests(self):
+        """The lazily created join-digest index (and fingerprint memo)."""
         index = self._digest_index
         if index is None:
             from repro.store.digests import JoinDigestIndex
 
             index = self._digest_index = JoinDigestIndex(self.store)
-        return index.digest(predicate, position)
+        return index
+
+    def join_digest(self, predicate, position) -> frozenset[int]:
+        """Fingerprints of this store's values for ``predicate`` at
+        ``position`` (see :mod:`repro.store.digests`); lazily built and
+        invalidated with ``store.version``."""
+        return self._digests().digest(predicate, position)
 
     def ask(self, query: AskQuery) -> bool:
         """Run an ASK query locally."""

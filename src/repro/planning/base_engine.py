@@ -239,20 +239,27 @@ class FederatedEngine:
 
     def _finalize(self, relation: Relation, normalized: NormalizedQuery) -> SelectResult:
         projected = normalized.projected_variables()
+        if normalized.order_by:
+            # SPARQL orders solutions before projecting, so a key over a
+            # variable outside the projection still sees its value.
+            order_by = normalized.order_by
+            vars = relation.vars
+            relation = Relation(
+                vars,
+                sorted(
+                    relation.rows,
+                    key=lambda row: order_key(
+                        _EVALUATOR,
+                        {var: term for var, term in zip(vars, row) if term is not None},
+                        order_by,
+                    ),
+                ),
+                partitions=relation.partitions,
+            )
         relation = relation.project(projected)
         if normalized.distinct:
             relation = relation.distinct()
         rows = relation.rows
-        if normalized.order_by:
-            order_by = normalized.order_by
-            rows = sorted(
-                rows,
-                key=lambda row: order_key(
-                    _EVALUATOR,
-                    {var: term for var, term in zip(projected, row) if term is not None},
-                    order_by,
-                ),
-            )
         rows = rows[normalized.offset:]
         if normalized.limit is not None:
             rows = rows[: normalized.limit]

@@ -548,6 +548,14 @@ class _Evaluator:
             return (aggregate.alias,), [(self.dictionary.encode(typed_literal(count)),)]
 
         projected = query.projected_variables()
+        if query.order_by:
+            # SPARQL orders solutions before projecting, so keys over
+            # variables outside the projection still see their values.
+            order_by = query.order_by
+            solutions = sorted(
+                solutions,
+                key=lambda s: order_key(self, self._decode_solution(s), order_by),
+            )
         rows = [tuple(solution.get(variable) for variable in projected) for solution in solutions]
 
         if query.distinct:
@@ -559,22 +567,11 @@ class _Evaluator:
                     unique_rows.append(row)
             rows = unique_rows
 
-        if query.order_by:
-            self._sort_id_rows(rows, projected, query)
-
         if query.offset:
             rows = rows[query.offset:]
         if query.limit is not None:
             rows = rows[: query.limit]
         return projected, rows
-
-    def _sort_id_rows(
-        self,
-        rows: list[tuple[int | None, ...]],
-        projected: tuple[Variable, ...],
-        query: SelectQuery,
-    ) -> None:
-        sort_id_rows(self, rows, projected, query.order_by)
 
     # ------------------------------------------------------------ filters
 
@@ -714,19 +711,20 @@ class _Evaluator:
 def sort_id_rows(
     evaluator: "_Evaluator",
     rows: list[tuple[int | None, ...]],
-    projected: Sequence[Variable],
+    schema: Sequence[Variable],
     order_by: Sequence,
 ) -> None:
     """ORDER BY on id rows: sort keys need real terms, so rows decode per key.
 
-    Shared by the interpretive evaluator and the compiled-plan tail.
+    The compiled-plan tail sorts its pipeline rows (``schema`` names
+    their slots) with this before it projects.
     """
     decode = evaluator.dictionary.decode
 
     def row_key(row: tuple[int | None, ...]):
         solution = {
             variable: decode(value)
-            for variable, value in zip(projected, row)
+            for variable, value in zip(schema, row)
             if value is not None
         }
         return order_key(evaluator, solution, order_by)
@@ -737,10 +735,11 @@ def sort_id_rows(
 def order_key(evaluator: "_Evaluator", solution: Solution, order_by: Sequence) -> tuple:
     """The ORDER BY sort key of one term solution.
 
-    Every ORDER BY in the system sorts by this key: the interpretive
-    evaluator and the compiled-plan tail (through :func:`sort_id_rows`)
-    and the federated mediator's result finalization.  An expression
-    that errors or is unbound sorts first, as SPARQL's unbound does.
+    Every ORDER BY in the system sorts by this key, over whole solutions
+    before projection: the interpretive evaluator, the compiled-plan
+    tail (through :func:`sort_id_rows`) and the federated mediator's
+    result finalization.  An expression that errors or is unbound sorts
+    first, as SPARQL's unbound does.
     """
     keys = []
     for condition in order_by:

@@ -19,11 +19,12 @@ with one round per endpoint.  The mediator compiles the branch into a
     any relevant site — the "compact" in compact partial matches.
 
 The endpoint answers with a :class:`PartialResult`: the local-complete
-rows and per-fragment row sets (columnar id relations endpoint-side,
-decoded at the wire exactly like every other result today).  The
-mediator assembles fragments across endpoints with the columnar join
-kernels and unions in the local-complete rows, deduplicating via
-origin columns (see :mod:`repro.core.execution.partial`).
+rows and per-fragment row sets.  Fragments are pruned in the endpoint's
+id space (:func:`prune_id_rows` against per-id fingerprints), and only
+the surviving rows are decoded to terms for the wire.  The mediator
+assembles fragments across endpoints with the columnar join kernels and
+unions in the local-complete rows, deduplicating via origin columns
+(see :mod:`repro.core.execution.partial`).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.store.digests import digest_bytes, stable_term_hash
+from repro.store.digests import digest_bytes
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.rdf.terms import Variable
@@ -97,29 +98,31 @@ class PartialResult:
         return sum(fragment.pruned_rows for fragment in self.fragments)
 
 
-def prune_rows(result: "SelectResult", digests) -> tuple[list, int]:
-    """Apply fragment digests to a decoded result's rows.
+def prune_id_rows(vars, id_rows: list, digests, fingerprints) -> tuple[list, int]:
+    """Apply fragment digests to a fragment's id rows, before decoding.
 
-    Returns ``(surviving rows, pruned count)``.  Sound by construction:
-    a dropped row's crossing value is absent from every site that could
+    ``vars`` names the columns of ``id_rows`` (in the fragment query's
+    own variable names) and ``fingerprints`` maps each id of the
+    producing store's dictionary to its
+    :func:`~repro.store.digests.stable_term_hash`
+    (:class:`repro.store.digests.TermFingerprints`).  Returns
+    ``(surviving rows, pruned count)``.  Sound by construction: a
+    dropped row's crossing value is absent from every site that could
     bind the other side of the edge, so no assembled answer loses a row
-    (CRC collisions only ever *keep* extra rows).
+    (CRC collisions only ever *keep* extra rows).  Unbound values
+    survive.
     """
-    checks = []
-    for variable, digest in digests:
-        try:
-            index = result.vars.index(variable)
-        except ValueError:
-            continue
-        checks.append((index, digest))
+    checks = [
+        (vars.index(variable), digest) for variable, digest in digests if variable in vars
+    ]
     if not checks:
-        return result.rows, 0
+        return id_rows, 0
     kept = []
-    for row in result.rows:
+    for row in id_rows:
         for index, digest in checks:
             value = row[index]
-            if value is not None and stable_term_hash(value) not in digest:
+            if value is not None and fingerprints[value] not in digest:
                 break
         else:
             kept.append(row)
-    return kept, len(result.rows) - len(kept)
+    return kept, len(id_rows) - len(kept)

@@ -1277,13 +1277,29 @@ class _SelectCore:
 
     def _projected_list(self, ctx: _ExecutionContext) -> list:
         """Batch form of :meth:`_iter_projected` for non-lazy plans."""
-        rows = self.plan.run_list(ctx, list(_SEED))
+        return self._project(self.plan.run_list(ctx, list(_SEED)))
+
+    def _project(self, rows: list) -> list:
         if self.identity:
             return rows
         proj_map = self.proj_map
+        if len(proj_map) > 1 and None not in proj_map:
+            # itemgetter builds each projected tuple in C.
+            return list(map(itemgetter(*proj_map), rows))
         return [
             tuple(None if i is None else row[i] for i in proj_map) for row in rows
         ]
+
+    def _ordered_list(self, ctx: _ExecutionContext) -> list:
+        """Pipeline rows sorted by ORDER BY, then projected.
+
+        SPARQL orders solutions before projecting, so the sort keys on
+        pipeline slots: an ORDER BY variable outside the projection
+        still sees its value.
+        """
+        rows = self.plan.run_list(ctx, list(_SEED))
+        sort_id_rows(ctx.evaluator, rows, self.plan.out_schema, self.order_by)
+        return self._project(rows)
 
     def _aggregate_rows(self, ctx: _ExecutionContext, rows: list) -> list:
         """COUNT tail over raw (unprojected) pipeline rows."""
@@ -1298,22 +1314,15 @@ class _SelectCore:
             count = len(set(values)) if aggregate.distinct else len(values)
         return [(ctx.dictionary.encode(typed_literal(count)),)]
 
-    def _finish(self, ctx: _ExecutionContext, rows, max_rows: int | None) -> list:
-        """DISTINCT / ORDER BY / slice tail over projected rows."""
+    def _finish(self, rows, max_rows: int | None) -> list:
+        """DISTINCT / slice tail over projected rows (already ordered).
+
+        DISTINCT keeps first occurrences, so an ORDER BY survives it.
+        Without ORDER BY the tail streams, so LIMIT (and the endpoint's
+        result_limit via max_rows) stops pipeline iteration early.
+        """
         if self.distinct:
             rows = _distinct_rows(rows)
-        if self.order_by:
-            materialized = list(rows)
-            sort_id_rows(ctx.evaluator, materialized, self.projected, self.order_by)
-            if self.offset:
-                materialized = materialized[self.offset:]
-            if self.limit is not None:
-                materialized = materialized[: self.limit]
-            if max_rows is not None:
-                materialized = materialized[:max_rows]
-            return materialized
-        # No ORDER BY: the tail streams, so LIMIT (and the endpoint's
-        # result_limit via max_rows) stops pipeline iteration early.
         stop = self.limit
         if max_rows is not None:
             stop = max_rows if stop is None else min(stop, max_rows)
@@ -1331,10 +1340,15 @@ class _SelectCore:
         if self.aggregate is not None:
             rows = self.plan.run_list(ctx, list(_SEED))
             return self.projected, self._aggregate_rows(ctx, rows)
-        # Lazy plans stream so ASK / LIMIT stop early; everything else
-        # runs list-at-a-time through the batch operator path.
-        rows = self._iter_projected(ctx) if self.lazy else self._projected_list(ctx)
-        return self.projected, self._finish(ctx, rows, max_rows)
+        if self.order_by:
+            rows = self._ordered_list(ctx)
+        elif self.lazy:
+            # Lazy plans stream so ASK / LIMIT stop early; everything
+            # else runs list-at-a-time through the batch operator path.
+            rows = self._iter_projected(ctx)
+        else:
+            rows = self._projected_list(ctx)
+        return self.projected, self._finish(rows, max_rows)
 
     def ask(self, ctx: _ExecutionContext) -> bool:
         return next(self.plan.run(ctx, iter(_SEED)), None) is not None
@@ -1429,10 +1443,21 @@ class CompiledPlan:
             return self.execute_ask(params)
         return self.execute_select(params, max_rows=max_rows)
 
-    def execute_select(self, params=None, max_rows: int | None = None) -> SelectResult:
+    def execute_ids(
+        self, params=None, max_rows: int | None = None
+    ) -> tuple[tuple, list]:
+        """Run the SELECT in id space: projected schema plus id rows.
+
+        The one way a plan runs.  Ids belong to this store's dictionary;
+        callers that filter rows by id (the endpoint's fragment pruning)
+        decode only what survives.
+        """
         params = self._resolve_params(params)
         ctx = _ExecutionContext(self.store, self._encode_params(params))
-        projected, id_rows = self.core.id_result(ctx, max_rows)
+        return self.core.id_result(ctx, max_rows)
+
+    def execute_select(self, params=None, max_rows: int | None = None) -> SelectResult:
+        projected, id_rows = self.execute_ids(params, max_rows)
         decode_row = self.store.dictionary.decode_row
         return SelectResult(
             projected,

@@ -16,18 +16,25 @@ fragment row only if its crossing-variable value hashes into the set.
 CRC collisions can only keep extra rows, never drop one, so pruning is
 sound — the mediator join discards survivors that do not actually match.
 
-Digests are built lazily per ``(predicate, position)`` from the store's
-match index and cached under ``store.version``, the same invalidation
-discipline as the plan cache and the characteristic-set summaries.
+Fingerprints live in id space: :class:`TermFingerprints` memoizes the
+CRC-32 of every dictionary id once, so digest builds and fragment
+pruning (:func:`repro.sparql.partial.prune_id_rows`) index an array
+instead of rendering and hashing terms.  Digests are built lazily per
+``(predicate, position)`` from the store's id index and cached under
+``store.version``, the same invalidation discipline as the plan cache
+and the characteristic-set summaries.
 """
 
 from __future__ import annotations
 
 import zlib
+from array import array
+from itertools import islice
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.rdf.terms import Term
+    from repro.store.dictionary import TermDictionary
     from repro.store.triple_store import TripleStore
 
 #: Digest positions: which end of the predicate's triples is hashed.
@@ -49,6 +56,32 @@ def stable_term_hash(term: "Term") -> int:
     return zlib.crc32(term.n3().encode("utf-8"))
 
 
+class TermFingerprints:
+    """:func:`stable_term_hash` of every id of one term dictionary.
+
+    An ``array('I')`` aligned with the dictionary's ids.  The dictionary
+    is append-only, so an entry never goes stale: :meth:`table` only
+    hashes the ids minted since the last call (data loads, and query
+    constants interned by ``encode``).
+    """
+
+    __slots__ = ("_terms", "_table")
+
+    def __init__(self, dictionary: "TermDictionary"):
+        self._terms = dictionary.terms
+        self._table = array("I")
+
+    def table(self) -> array:
+        """The fingerprint table, extended to the dictionary's size."""
+        table = self._table
+        terms = self._terms
+        if len(table) < len(terms):
+            table.extend(
+                stable_term_hash(term) for term in islice(terms, len(table), None)
+            )
+        return table
+
+
 class JoinDigestIndex:
     """Lazy per-store cache of join-value digests.
 
@@ -63,6 +96,9 @@ class JoinDigestIndex:
         self._store = store
         self._version = store.version
         self._digests: dict[tuple["Term", str], frozenset[int]] = {}
+        #: Per-id fingerprints of the store's dictionary, shared with
+        #: the endpoint's fragment pruning.
+        self.fingerprints = TermFingerprints(store.dictionary)
         #: Full scans performed (observability; cache hits don't count).
         self.builds = 0
 
@@ -78,12 +114,15 @@ class JoinDigestIndex:
         cached = self._digests.get(key)
         if cached is not None:
             return cached
-        subject_end = position == SUBJECT
-        values = {
-            stable_term_hash(triple.subject if subject_end else triple.object)
-            for triple in store.match(None, predicate, None)
-        }
-        digest = frozenset(values)
+        p = store.dictionary.lookup(predicate)
+        if p is None:
+            digest: frozenset[int] = frozenset()
+        else:
+            table = self.fingerprints.table()
+            column = 0 if position == SUBJECT else 2
+            digest = frozenset(
+                {table[triple[column]] for triple in store.match_ids(None, p, None)}
+            )
         self._digests[key] = digest
         self.builds += 1
         return digest

@@ -29,16 +29,25 @@ from repro.obs import MetricsRegistry, Tracer
 from repro.rdf import IRI, Literal, Namespace, Triple, Variable
 from repro.sparql import evaluate_select, parse_query, serialize_query
 from repro.sparql.evaluator import SelectResult
-from repro.sparql.partial import prune_rows
+from repro.sparql.partial import (
+    FragmentResult,
+    FragmentSpec,
+    PartialResult,
+    PartialSpec,
+    prune_id_rows,
+)
 from repro.sparql.skeleton import canonicalize_query, is_fragment_shape
 from repro.store import TripleStore
+from repro.store.dictionary import TermDictionary
 from repro.store.digests import (
     OBJECT,
     SUBJECT,
     JoinDigestIndex,
+    TermFingerprints,
     stable_term_hash,
 )
 from tests.conftest import QA, build_paper_federation
+from tests.prune_oracle import prune_rows
 
 EX = Namespace("http://ex.org/")
 
@@ -156,6 +165,123 @@ class TestPruneRows:
         assert pruned == 0
 
 
+class TestIdSpacePruning:
+    """``prune_id_rows`` + decode against the term-space oracle."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_matches_term_space_oracle(self, data):
+        dictionary = TermDictionary()
+        for i in range(data.draw(st.integers(1, 10), label="initial terms")):
+            dictionary.encode(EX[f"t{i}"] if i % 2 else Literal(f"v{i}"))
+        memo = TermFingerprints(dictionary)
+        memo.table()  # first build, before the dictionary grows
+        for i in range(data.draw(st.integers(0, 6), label="late terms")):
+            dictionary.encode(Literal(f"late{i}", language="en"))
+        size = len(dictionary)
+        width = data.draw(st.integers(1, 3), label="width")
+        vars = tuple(Variable(f"v{i}") for i in range(width))
+        cell = st.one_of(st.none(), st.integers(0, size - 1))
+        id_rows = data.draw(st.lists(st.tuples(*[cell] * width), max_size=25), label="rows")
+        digest_vars = data.draw(
+            st.lists(st.sampled_from((*vars, Variable("absent"))), max_size=3),
+            label="digest vars",
+        )
+        digests = tuple(
+            (
+                variable,
+                frozenset(
+                    stable_term_hash(dictionary.decode(term_id))
+                    for term_id in data.draw(st.sets(st.integers(0, size - 1)))
+                ),
+            )
+            for variable in digest_vars
+        )
+        kept, pruned = prune_id_rows(vars, id_rows, digests, memo.table())
+        decoded = SelectResult(vars, [dictionary.decode_row(row) for row in id_rows])
+        want, want_pruned = prune_rows(decoded, digests)
+        assert [dictionary.decode_row(row) for row in kept] == want
+        assert pruned == want_pruned
+
+    def test_memo_extends_with_the_dictionary(self):
+        dictionary = TermDictionary()
+        dictionary.encode(EX.a)
+        memo = TermFingerprints(dictionary)
+        assert list(memo.table()) == [stable_term_hash(EX.a)]
+        dictionary.encode(Literal("b"))
+        assert list(memo.table()) == [stable_term_hash(EX.a), stable_term_hash(Literal("b"))]
+
+    def test_id_space_digests_equal_term_space_build(self):
+        federation = lubm.build_federation(2, profile=lubm.TINY_PROFILE, seed=3)
+        store = federation.get("university0").store
+        index = JoinDigestIndex(store)
+        for predicate in store.predicates():
+            triples = list(store.match(None, predicate, None))
+            assert index.digest(predicate, SUBJECT) == frozenset(
+                stable_term_hash(triple.subject) for triple in triples
+            )
+            assert index.digest(predicate, OBJECT) == frozenset(
+                stable_term_hash(triple.object) for triple in triples
+            )
+        assert index.digest(EX.absent, SUBJECT) == frozenset()
+
+    def test_result_limit_truncates_before_pruning(self):
+        knows = EX.knows
+        endpoint = Endpoint("EP")
+        endpoint.add_all([Triple(EX[f"s{i}"], knows, EX[f"o{i}"]) for i in range(20)])
+        endpoint.result_limit = 6
+        query = parse_query(f"SELECT ?s ?o WHERE {{ ?s <{knows.value}> ?o }}")
+        unpruned = endpoint.partial_evaluate(PartialSpec(None, (FragmentSpec(0, query),)))
+        first_rows = unpruned.fragments[0].result
+        assert len(first_rows.rows) == 6
+        # Keep every other object: pruning first would still fill the
+        # limit with survivors; truncating first leaves about half.
+        digests = (
+            (Variable("o"), frozenset(stable_term_hash(EX[f"o{i}"]) for i in range(0, 20, 2))),
+        )
+        spec = PartialSpec(None, (FragmentSpec(0, query, digests),))
+        fragment = endpoint.partial_evaluate(spec).fragments[0]
+        want, want_pruned = prune_rows(first_rows, digests)
+        assert fragment.result.rows == want
+        assert fragment.pruned_rows == want_pruned
+        assert len(fragment.result.rows) + fragment.pruned_rows == 6
+        assert 0 < fragment.pruned_rows < 6
+
+
+def _oracle_partial_evaluate(endpoint, spec: PartialSpec) -> PartialResult:
+    """Endpoint partial round that decodes every row, then prunes with
+    the term-space oracle."""
+    complete = None if spec.complete is None else endpoint.select(spec.complete)
+    fragments = []
+    for fragment in spec.fragments:
+        result = endpoint.select(fragment.query)
+        result.rows, pruned = prune_rows(result, fragment.digests)
+        fragments.append(FragmentResult(fragment.id, result, pruned))
+    return PartialResult(complete, fragments)
+
+
+@pytest.mark.parametrize("name", ["Q4", "Q5"])
+def test_lubm_partial_counters_match_oracle_pruning(name, monkeypatch):
+    def run():
+        registry = MetricsRegistry()
+        engine = _engine(lubm.build_federation(2, seed=7), "partial")
+        engine.registry = registry
+        outcome = engine.execute(lubm.crossing_queries()[name])
+        assert outcome.ok, outcome.error
+        return (
+            registry.counter_value("partial_pruned_rows_total"),
+            registry.counter_value("partial_rows_total", section="fragment"),
+            registry.counter_value("partial_rows_total", section="complete"),
+            Counter(outcome.result.rows),
+        )
+
+    got = run()
+    monkeypatch.setattr(Endpoint, "partial_evaluate", _oracle_partial_evaluate)
+    want = run()
+    assert got == want
+    assert got[0] > 0
+
+
 # ------------------------------------------------ fragment canonicalization
 
 
@@ -190,10 +316,10 @@ SELECT ?y WHERE {{
         federation = lubm.build_federation(2, profile=lubm.TINY_PROFILE, seed=3)
         endpoint = federation.get("university0")
         hits0, misses0 = endpoint.plan_stats()[:2]
-        endpoint._fragment_select(self._variant(0))
+        endpoint.partial_evaluate(PartialSpec(None, (FragmentSpec(0, self._variant(0)),)))
         hits1, misses1 = endpoint.plan_stats()[:2]
         assert misses1 == misses0 + 1
-        endpoint._fragment_select(self._variant(1))
+        endpoint.partial_evaluate(PartialSpec(None, (FragmentSpec(0, self._variant(1)),)))
         hits2, misses2 = endpoint.plan_stats()[:2]
         assert misses2 == misses1, "constant variant recompiled its fragment"
         assert hits2 == hits1 + 1

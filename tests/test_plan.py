@@ -29,6 +29,7 @@ from repro.sparql.ast import (
     ValuesPattern,
     VarExpr,
 )
+from repro.sparql import parse_query
 from repro.sparql.evaluator import evaluate_ask, evaluate_select
 from repro.sparql.plan import compile_query, split_parameters
 from repro.store import TripleStore
@@ -455,6 +456,42 @@ class TestOneExecutionPath:
         for query, expected in zip(selects, expected_rows):
             assert Counter(endpoint.select(query).rows) == expected
         assert [endpoint.ask(query) for query in asks] == expected_asks
+
+
+class TestOrderBy:
+    """ORDER BY sorts pipeline rows before the projection drops slots."""
+
+    @pytest.fixture
+    def store(self):
+        store = TripleStore()
+        store.add_all(_university_triples(professors=4))
+        return store
+
+    def _rows(self, store, text):
+        return compile_query(store, parse_query(text)).execute_select().rows
+
+    def test_non_projected_key(self, store):
+        text = (
+            f"SELECT ?s WHERE {{ ?s <{EX}advisor> ?p }} ORDER BY {{order}}(?p) ?s LIMIT 3"
+        )
+        asc = self._rows(store, text.replace("{order}", "ASC"))
+        desc = self._rows(store, text.replace("{order}", "DESC"))
+        assert asc == [(_iri("student0_0"),), (_iri("student0_1"),), (_iri("student1_0"),)]
+        assert desc == [(_iri("student3_0"),), (_iri("student3_1"),), (_iri("student2_0"),)]
+
+    def test_distinct_after_order(self, store):
+        text = (
+            f"SELECT DISTINCT ?c WHERE {{ ?s <{EX}takesCourse> ?c . ?s <{EX}advisor> ?p }} "
+            "ORDER BY DESC(?p) OFFSET 1 LIMIT 2"
+        )
+        assert self._rows(store, text) == [(_iri("course2"),), (_iri("course1"),)]
+
+    def test_matches_evaluator(self, store):
+        query = parse_query(
+            f"SELECT ?c WHERE {{ ?s <{EX}takesCourse> ?c }} ORDER BY DESC(?s) LIMIT 5"
+        )
+        compiled = compile_query(store, query).execute_select().rows
+        assert compiled == evaluate_select(store, query).rows
 
 
 class TestSortOrderMetadata:

@@ -195,6 +195,20 @@ class TestModifiers:
         result = rows(store, "SELECT ?a WHERE { ?s ex:age ?a } ORDER BY DESC(?a)")
         assert [r[0].numeric_value() for r in result] == [30, 25]
 
+    def test_order_by_non_projected_variable(self, store):
+        # SPARQL sorts whole solutions before projecting ?a away.
+        asc = rows(store, "SELECT ?s WHERE { ?s ex:age ?a } ORDER BY ?a")
+        desc = rows(store, "SELECT ?s WHERE { ?s ex:age ?a } ORDER BY DESC(?a)")
+        assert asc == [(ex("bob"),), (ex("alice"),)]
+        assert desc == [(ex("alice"),), (ex("bob"),)]
+
+    def test_distinct_keeps_order_by_order(self, store):
+        result = rows(
+            store,
+            "SELECT DISTINCT ?s WHERE { ?s ex:name ?n . ?s ?p ?o } ORDER BY DESC(?n) LIMIT 3",
+        )
+        assert result == [(ex("dave"),), (ex("carol"),), (ex("bob"),)]
+
     def test_limit_offset(self, store):
         result = rows(store, "SELECT ?n WHERE { ?s ex:name ?n } ORDER BY ?n LIMIT 2 OFFSET 1")
         assert [r[0].value for r in result] == ["Bob", "Carol"]
