@@ -35,7 +35,13 @@ pre-columnar implementation) on identical encoded data:
                           partial-evaluation fragment at ~95% prune rate:
                           decode every row then hash (before) vs
                           id-space pruning then decoding the survivors
-                          (after), rows asserted identical.
+                          (after), rows asserted identical;
+* ``wire_ingest``       — one lubm-geo-auto endpoint's takesCourse extent
+                          (a few thousand rows) shipped into a mediator
+                          relation: decode, term-walk payload size and
+                          re-encode (before) vs id rows, byte memo and
+                          memoized id translation (after), rows and
+                          payload bytes asserted identical.
 
 Plus the **compiled plan suite** (emitted to ``BENCH_plan.json``), which
 times the compile-once endpoint engine (:mod:`repro.sparql.plan`) on the
@@ -93,14 +99,16 @@ import tracemalloc
 from collections import Counter
 
 from repro.datasets import lubm
+from repro.endpoint import Endpoint
 from repro.endpoint.cache import DEFAULT_PLAN_CACHE_CAPACITY, MISSING, PlanCache
+from repro.endpoint.client import _payload_bytes
 from repro.rdf.terms import IRI, Variable, typed_literal
 from repro.rdf.triple import TriplePattern
 from repro.relational.filters import equality_conjunct, make_filter_predicate
 from repro.relational.reference import RowRelation
 from repro.relational.relation import Relation
 from repro.sparql.ast import BGP, Comparison, SelectQuery, VarExpr
-from repro.sparql.evaluator import _Evaluator, evaluate_select
+from repro.sparql.evaluator import SelectResult, _Evaluator, evaluate_select
 from repro.sparql.parser import parse_query
 from repro.sparql.partial import prune_id_rows
 from repro.sparql.plan import compile_query, split_parameters
@@ -110,6 +118,7 @@ from repro.sparql.reference import (
     reference_extend,
     reference_hash_join,
 )
+from repro.store.dictionary import EncodedRows
 from repro.store.digests import TermFingerprints, stable_term_hash
 from repro.store.triple_store import TripleStore
 
@@ -491,6 +500,52 @@ def bench_fragment_prune(encoded: TripleStore, iterations: int) -> dict:
     }
 
 
+def bench_wire_ingest(iterations: int, seed: int = 42) -> dict:
+    # One endpoint of the lubm-geo-auto federation (university 0 of 4 at
+    # scaled_profile(2.0)) ships its (student, course) extent to the
+    # mediator.  Before: the endpoint decodes every row, the client walks
+    # the terms to size the payload, the mediator re-encodes them; after:
+    # id rows ship with the endpoint dictionary, the payload is summed
+    # from the per-id byte memo and ingest translates each column
+    # through the id memo.  Both memos are warm, as on a long-lived
+    # endpoint; the mediator codec already holds every term either way.
+    endpoint = Endpoint(
+        "university0", lubm.generate_university(0, 4, lubm.scaled_profile(2.0), seed)
+    )
+    query = parse_query(f"SELECT ?x ?y WHERE {{ ?x <{UB}takesCourse> ?y . }}")
+    shipped = endpoint.select(query)
+    vars, ids = shipped.vars, shipped.rows.ids
+    dictionary = endpoint.dictionary
+    decode_row = dictionary.decode_row
+
+    def ingest(result: SelectResult) -> tuple[Relation, int]:
+        size = _payload_bytes(result)
+        relation = Relation(vars)
+        relation.rows.extend(result.rows)
+        return relation, size
+
+    def decode_walk_encode():
+        return ingest(SelectResult(vars, [decode_row(row) for row in ids]))
+
+    def translate():
+        return ingest(SelectResult(vars, EncodedRows(dictionary, ids)))
+
+    after_relation, after_bytes = translate()
+    before_relation, before_bytes = decode_walk_encode()
+    assert after_bytes == before_bytes, "memo payload bytes diverge from the term walk"
+    assert list(after_relation.rows) == list(before_relation.rows), (
+        "translated rows diverge from decode + re-encode"
+    )
+    before, after = _time_pair(decode_walk_encode, translate, iterations)
+    return {
+        "before_s": before,
+        "after_s": after,
+        "speedup": before / after if after else float("inf"),
+        "shipped_rows": len(ids),
+        "payload_bytes": after_bytes,
+    }
+
+
 def run_join_suite(encoded: TripleStore, iterations: int) -> dict:
     benches = {}
     benches["mediator_join"] = bench_columnar_mediator_join(encoded, iterations)
@@ -505,6 +560,11 @@ def run_join_suite(encoded: TripleStore, iterations: int) -> dict:
     print(
         f"join: fragment_prune: {benches['fragment_prune']['speedup']:.2f}x "
         f"({benches['fragment_prune']['prune_rate']:.0%} pruned)"
+    )
+    benches["wire_ingest"] = bench_wire_ingest(iterations)
+    print(
+        f"join: wire_ingest: {benches['wire_ingest']['speedup']:.2f}x "
+        f"({benches['wire_ingest']['shipped_rows']} rows)"
     )
     return benches
 

@@ -12,9 +12,12 @@
    floor or drops far below the checked-in baseline.  Speedups are
    in-run ratios on identical data, so the gate is machine-tolerant.
    ``mediator_filter_join`` compares cross product + filter against the
-   value-keyed FILTER join instead of row vs columnar runtimes, and
+   value-keyed FILTER join instead of row vs columnar runtimes;
    ``fragment_prune`` compares decode-then-hash fragment pruning against
-   id-space pruning that decodes only the surviving rows.
+   id-space pruning that decodes only the surviving rows; and
+   ``wire_ingest`` compares decode + term-walk payload sizing + re-encode
+   of a shipped endpoint result against id rows with memoized byte sizes
+   and memoized id translation.
 4. Compiled-plan regression gate: same mechanism over the compiled plan
    suite (BENCH_plan.json) — cached-plan bound-join execution must stay
    at least twice as fast as per-request interpretive planning.
@@ -100,6 +103,7 @@ def check_microbench_smoke() -> None:
         "bound_join_blocks",
         "mediator_filter_join",
         "fragment_prune",
+        "wire_ingest",
     }
     assert set(join_report["benches"]) == join_expected, (
         f"missing join benches: {join_report['benches']}"
@@ -181,12 +185,17 @@ def check_microbench_smoke() -> None:
 #: fragment_prune's 3.0: at a ~95% prune rate, pruning fragment id rows
 #: against the fingerprint memo and decoding only the survivors must
 #: stay at least three times faster than decoding and hashing every row.
+#: wire_ingest's 2.0: shipping a few thousand endpoint id rows into a
+#: mediator relation through the warm byte and translation memos must
+#: stay at least twice as fast as decoding, term-walking and re-encoding
+#: them.
 _GATE_FLOORS = {
     "mediator_join": 2.0,
     "mediator_join_big": 2.0,
     "bound_join_blocks": 1.5,
     "mediator_filter_join": 10.0,
     "fragment_prune": 3.0,
+    "wire_ingest": 2.0,
 }
 #: A gate run may be this much slower (relative) than the committed
 #: baseline before it counts as a regression; in-run speedup ratios are

@@ -43,6 +43,8 @@ EXPLAIN ANALYZE machinery (decision ``strategy``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import ne, or_
 
 from repro.core.decomposition.subquery import DecompositionPlan, Subquery
 from repro.core.execution.cost_model import CardinalityEstimates
@@ -375,7 +377,7 @@ class PartialBranchScheduler(BranchScheduler):
                     if fragment.id != subquery.id:
                         continue
                     rows = fragment.result.rows
-                    relation.rows.extend((*row, origin) for row in rows)
+                    relation.rows.extend_tagged(rows, origin)
                     shipped += len(rows)
                     pruned += fragment.pruned_rows
             self._guard_rows(len(relation))
@@ -407,15 +409,14 @@ class PartialBranchScheduler(BranchScheduler):
         """
         if len(relation) == 0:
             return relation
-        indexes = [relation.vars.index(var) for var in origin_vars]
         columns = relation.columns
-        first = columns[indexes[0]]
-        rest = [columns[i] for i in indexes[1:]]
-        keep = [
-            i
-            for i in range(len(relation))
-            if any(column[i] != first[i] for column in rest)
-        ]
+        first, *rest = (columns[relation.vars.index(var)] for var in origin_vars)
+        # A row is mixed when any other origin column differs from the
+        # first: OR the column-wise inequality masks together.
+        mixed = map(ne, first, rest[0])
+        for column in rest[1:]:
+            mixed = map(or_, mixed, map(ne, first, column))
+        keep = list(compress(range(len(relation)), mixed))
         if len(keep) == len(relation):
             return relation
         kept_columns = [[column[i] for i in keep] for column in columns]

@@ -16,14 +16,17 @@ code chains them, parallel fan-out feeds the same ``at`` to many calls
 and takes the max of the completions.  A fresh client is built per query
 execution; caches persist across clients via :class:`EngineCaches`.
 
-The client sits outside the dictionary-encoded boundary: requests carry
-term-level queries and responses carry term rows (the "wire format"),
-never endpoint-local integer ids.  Encoding is an implementation detail
-of each endpoint's store; the mediator's relational layer re-encodes
-received rows into its own shared codec.
+Requests carry term-level queries.  Responses carry the endpoint's id
+rows plus the dictionary that minted them
+(:class:`~repro.store.dictionary.EncodedRows`): the mediator's relational
+layer translates each distinct shipped term into its own shared codec
+once, and the virtual-time payload size is summed from a per-id byte
+memo on the same dictionary, without decoding a row.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 from repro.endpoint.cache import EngineCaches, MISSING
 from repro.endpoint.federation import Federation
@@ -45,6 +48,7 @@ from repro.sparql.ast import AskQuery, Query, SelectQuery
 from repro.sparql.evaluator import SelectResult
 from repro.sparql.partial import PartialResult, PartialSpec
 from repro.sparql.serializer import query_bytes
+from repro.store.dictionary import EncodedRows
 from repro.store.digests import digest_bytes
 
 #: Fixed per-term serialization overhead (tags, quoting) used by the
@@ -52,23 +56,30 @@ from repro.store.digests import digest_bytes
 _TERM_OVERHEAD_BYTES = 18
 
 
+def _term_wire_bytes(term) -> int:
+    """Serialized size estimate of one cell: the term's value text (a
+    blank node's label) plus the framing overhead; 0 when unbound."""
+    if term is None:
+        return 0
+    value = getattr(term, "value", None)
+    if value is None:
+        value = getattr(term, "label", "")
+    return len(value) + _TERM_OVERHEAD_BYTES
+
+
 def _payload_bytes(result: SelectResult) -> int:
     """Approximate serialized size of a SELECT result.
 
     Counts the value text of every bound term plus a fixed XML/JSON
     framing overhead — enough fidelity for the big-literal experiments
-    where payload volume, not row count, dominates transfer time.
+    where payload volume, not row count, dominates transfer time.  Id
+    rows sum their cells from the shipping dictionary's byte memo.
     """
-    total = 0
-    for row in result.rows:
-        for term in row:
-            if term is None:
-                continue
-            value = getattr(term, "value", None)
-            if value is None:
-                value = getattr(term, "label", "")
-            total += len(value) + _TERM_OVERHEAD_BYTES
-    return total
+    rows = result.rows
+    if isinstance(rows, EncodedRows):
+        sizes = rows.dictionary.memo(_term_wire_bytes, _term_wire_bytes, 0)
+        return sum(map(sizes.__getitem__, chain.from_iterable(rows.ids)))
+    return sum(map(_term_wire_bytes, chain.from_iterable(rows)))
 
 
 class FederationClient:

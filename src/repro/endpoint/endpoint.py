@@ -7,14 +7,15 @@ federation engines only talk to it through
 :class:`~repro.endpoint.client.FederationClient`, which adds the virtual
 network costs.
 
-The endpoint is also the **encode/decode boundary** of the dictionary-
-encoded data plane: internally the store and compiled plans work on
-this endpoint's private integer term ids (see :attr:`Endpoint.dictionary`),
-but every :class:`~repro.sparql.evaluator.SelectResult` leaving
-``select()`` carries decoded term rows.  Ids from different endpoints
-are incomparable and never cross this boundary — the mediator re-encodes
-rows into its own shared codec on ingest
-(:func:`repro.relational.relation.mediator_codec`).
+The endpoint is also the **id boundary** of the dictionary-encoded data
+plane: the store and compiled plans work on this endpoint's private
+integer term ids (see :attr:`Endpoint.dictionary`), and what leaves
+``select()`` and ``partial_evaluate()`` is those id rows plus the
+dictionary that minted them (:class:`~repro.store.dictionary.EncodedRows`),
+not decoded terms.  Ids from different endpoints are incomparable: the
+mediator translates each distinct shipped id into its own shared codec
+once (:func:`repro.relational.relation.mediator_codec`), and the rows
+decode to terms only for callers that read them as terms.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from repro.sparql.evaluator import SelectResult
 from repro.sparql.partial import FragmentResult, PartialResult, PartialSpec, prune_id_rows
 from repro.sparql.plan import CompiledPlan, compile_query, split_parameters
 from repro.sparql.skeleton import Canonicalized, canonicalize_query, is_fragment_shape
+from repro.store.dictionary import EncodedRows
 from repro.store.triple_store import TripleStore
 
 
@@ -129,8 +131,8 @@ class Endpoint:
         """This endpoint's private term dictionary.
 
         Ids are endpoint-local: the same IRI generally has different ids
-        at different endpoints, which is why results are decoded to terms
-        before they leave ``select()``.
+        at different endpoints, which is why results ship with the
+        dictionary that decodes them.
         """
         return self.store.dictionary
 
@@ -194,7 +196,7 @@ class Endpoint:
         variable names or embedded constants replay one compiled plan
         with fresh parameter bindings.  Returns a row-less result whose
         header is in the query's own variable names, plus the id rows
-        it describes; the caller decodes what it ships.
+        it describes; the caller attaches what it ships.
         """
         canonical = canonicalize_query(query) if is_fragment_shape(query) else None
         plan, params, probe_canonical = self._plan_for(
@@ -215,14 +217,14 @@ class Endpoint:
         Evaluates the local-complete whole-branch query (when shipped)
         and every fragment SELECT locally, then applies each fragment's
         join-value digests to its id rows, so rows that cannot
-        participate in any cross-endpoint match are dropped before they
-        are decoded, let alone reach the wire.
+        participate in any cross-endpoint match never reach the wire.
+        Every section ships as id rows (:class:`EncodedRows`).
         """
-        decode_row = self.dictionary.decode_row
+        dictionary = self.dictionary
         complete = None
         if spec.complete is not None:
             complete, id_rows = self._fragment_ids(spec.complete)
-            complete.rows = [decode_row(row) for row in id_rows]
+            complete.rows = EncodedRows(dictionary, id_rows)
         fragments: list[FragmentResult] = []
         for fragment in spec.fragments:
             result, id_rows = self._fragment_ids(fragment.query)
@@ -233,7 +235,7 @@ class Endpoint:
                 id_rows, pruned = prune_id_rows(
                     result.vars, id_rows, fragment.digests, fingerprints
                 )
-            result.rows = [decode_row(row) for row in id_rows]
+            result.rows = EncodedRows(dictionary, id_rows)
             fragments.append(FragmentResult(fragment.id, result, pruned))
         return PartialResult(complete, fragments)
 

@@ -18,10 +18,18 @@ when every join-key column is fully bound, a general compatibility-merge
 path only when a key column actually contains ``None``, and a streaming
 ``max_mediator_rows`` guard enforced *inside* the kernels.
 
+Endpoint results arrive as id rows of the endpoint's own dictionary
+(:class:`~repro.store.dictionary.EncodedRows`).  Ingest translates them
+column by column through a memo per (endpoint dictionary, mediator
+codec) pair, so each distinct shipped term is encoded into the mediator
+codec once, however many rows and requests carry it; no shipped row is
+decoded on the way in.
+
 The :class:`RowStore` wrapper keeps the external contract unchanged:
 iterating, indexing or comparing ``relation.rows`` yields plain term
-tuples, and ``extend``/``append`` accept them — encode on the way in,
-decode on the way out.  The pre-columnar row runtime survives as
+tuples (decoded column by column), and ``extend``/``append`` accept term
+rows too — the ingest path for relations the mediator builds itself.
+The pre-columnar row runtime survives as
 :class:`repro.relational.reference.RowRelation`, the property-test
 oracle and benchmark baseline.
 """
@@ -34,7 +42,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Sequence
 from repro.rdf.terms import Term, Variable
 from repro.relational import kernels
 from repro.sparql.evaluator import SelectResult
-from repro.store.dictionary import TermDictionary
+from repro.store.dictionary import EncodedRows, TermDictionary, decode_columns
 
 Row = tuple  # tuple[Term | None, ...] externally; tuple[int | None, ...] encoded
 
@@ -77,22 +85,44 @@ class RowStore:
         self.length += 1
 
     def extend(self, rows: Iterable[Sequence[Term | None]]) -> None:
+        """Append rows: term rows, endpoint :class:`EncodedRows`, or
+        another store's rows."""
         if isinstance(rows, RowStore) and rows.codec is self.codec:
             for column, other_column in zip(self.columns, rows.columns):
                 column.extend(other_column)
             self.length += rows.length
             return
-        encode = self.codec.encode
-        columns = self.columns
+        self.length += self._ingest(self.columns, rows)
+
+    def extend_tagged(self, rows: Iterable[Sequence[Term | None]], tag: Term) -> None:
+        """Append rows one column narrower than this store, filling the
+        last column with ``tag`` (partial evaluation's origin column)."""
+        count = self._ingest(self.columns[:-1], rows)
+        self.columns[-1].extend(repeat(self.codec.encode(tag), count))
+        self.length += count
+
+    def _ingest(self, columns: list[list], rows) -> int:
+        """Encode ``rows`` into ``columns`` (leading columns of this
+        store); returns the row count.  Id rows translate column-wise
+        through the source dictionary's memo, term rows encode per cell."""
+        if isinstance(rows, EncodedRows):
+            ids = rows.ids
+            if columns and ids:
+                # One memo per (endpoint dictionary, codec): each distinct
+                # shipped id is encoded into the codec once.
+                translate = rows.dictionary.memo(self.codec, self.codec.encode).__getitem__
+                for column, source in zip(columns, zip(*ids)):
+                    column.extend(map(translate, source))
+            return len(ids)
         if not columns:
-            self.length += sum(1 for __ in rows)
-            return
+            return sum(1 for __ in rows)
+        encode = self.codec.encode
         count = 0
         for row in rows:
             for column, term in zip(columns, row):
                 column.append(None if term is None else encode(term))
             count += 1
-        self.length += count
+        return count
 
     # ------------------------------------------------------------- decode
 
@@ -105,20 +135,21 @@ class RowStore:
     def __len__(self) -> int:
         return self.length
 
+    def _decoded(self, columns: list, length: int) -> list[Row]:
+        """Term rows of ``columns`` (``length`` rows), decoded per column."""
+        if not columns:
+            return [()] * length
+        return list(zip(*decode_columns(self.codec.terms, columns)))
+
     def __iter__(self) -> Iterator[Row]:
-        decode_row = self.codec.decode_row
-        for row in self.iter_ids():
-            yield decode_row(row)
+        return iter(self._decoded(self.columns, self.length))
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            decode_row = self.codec.decode_row
-            if not self.columns:
-                return [() for __ in range(*index.indices(self.length))]
-            return [
-                decode_row(row)
-                for row in zip(*(column[index] for column in self.columns))
-            ]
+            return self._decoded(
+                [column[index] for column in self.columns],
+                len(range(*index.indices(self.length))),
+            )
         if not self.columns:
             if not -self.length <= index < self.length:
                 raise IndexError(index)
@@ -161,8 +192,9 @@ class Relation:
         #: merge-join outputs; the kernel dispatcher reads it to pick the
         #: merge path when both join inputs cover the shared variables.
         #: Endpoint results do not carry order across :meth:`from_result`:
-        #: their ids live in a different codec, so re-encoding loses
-        #: numeric order.
+        #: their ids live in the endpoint's dictionary, and translating
+        #: them into the mediator codec (first-sight order) loses numeric
+        #: order.
         self.sort_order: tuple[Variable, ...] = ()
 
     @classmethod

@@ -67,6 +67,7 @@ from repro.sparql.ast import (
     ValuesPattern,
     VarExpr,
 )
+from repro.store.dictionary import EncodedRows
 from repro.store.triple_store import TripleStore
 
 Solution = dict[Variable, Term]
@@ -78,7 +79,10 @@ class SelectResult:
     """Materialized SELECT result: a variable schema plus rows of terms.
 
     Rows are tuples aligned with ``vars``; ``None`` marks an unbound
-    variable (e.g. from OPTIONAL).
+    variable (e.g. from OPTIONAL).  Compiled plans (and so endpoints)
+    produce :class:`~repro.store.dictionary.EncodedRows`: the same rows
+    kept as ids of the producing store's dictionary, adopted here
+    without copying or decoding.
     """
 
     __slots__ = ("vars", "rows", "sort_order")
@@ -90,12 +94,12 @@ class SelectResult:
         sort_order: Sequence[Variable] = (),
     ):
         self.vars = tuple(vars)
-        self.rows = list(rows)
+        self.rows = rows if isinstance(rows, EncodedRows) else list(rows)
         #: Leading variables the rows are (non-strictly) sorted by, in the
         #: *producing store's id order* — metadata from compiled plans over
-        #: the sorted backend, ``()`` when no ordering is promised.  Term
-        #: rows re-encoded elsewhere (the mediator codec) keep only the
-        #: grouping implied by this, not numeric order.
+        #: the sorted backend, ``()`` when no ordering is promised.  The
+        #: mediator translates ids into its own codec, where only the
+        #: grouping implied by this survives, not numeric order.
         self.sort_order = tuple(sort_order)
 
     def __len__(self) -> int:

@@ -20,8 +20,9 @@ with one round per endpoint.  The mediator compiles the branch into a
 
 The endpoint answers with a :class:`PartialResult`: the local-complete
 rows and per-fragment row sets.  Fragments are pruned in the endpoint's
-id space (:func:`prune_id_rows` against per-id fingerprints), and only
-the surviving rows are decoded to terms for the wire.  The mediator
+id space (:func:`prune_id_rows` against per-id fingerprints), and every
+section ships as id rows (:class:`~repro.store.dictionary.EncodedRows`),
+never decoded at the endpoint.  The mediator
 assembles fragments across endpoints with the columnar join kernels and
 unions in the local-complete rows, deduplicating via origin columns
 (see :mod:`repro.core.execution.partial`).
@@ -99,7 +100,7 @@ class PartialResult:
 
 
 def prune_id_rows(vars, id_rows: list, digests, fingerprints) -> tuple[list, int]:
-    """Apply fragment digests to a fragment's id rows, before decoding.
+    """Apply fragment digests to a fragment's id rows, before they ship.
 
     ``vars`` names the columns of ``id_rows`` (in the fragment query's
     own variable names) and ``fingerprints`` maps each id of the

@@ -29,8 +29,10 @@ explicit operator pipeline that can be executed many times:
 Operators exchange *positional id rows*: tuples aligned to a
 compile-time variable schema, with ``None`` marking an unbound slot
 (OPTIONAL / UNDEF).  All joins and comparisons are on dictionary ids;
-terms are decoded only for expression evaluation and once at the final
-:class:`~repro.sparql.evaluator.SelectResult`.
+terms are decoded only for expression evaluation.  The final
+:class:`~repro.sparql.evaluator.SelectResult` keeps its rows as ids
+(:class:`~repro.store.dictionary.EncodedRows`), decoded only when read as
+terms.
 
 Compiled plans are pinned to the store's data ``version``: pattern order
 and statistics choices are only valid while the data is unchanged, so
@@ -77,6 +79,7 @@ from repro.sparql.evaluator import (
     pick_next_pattern,
     sort_id_rows,
 )
+from repro.store.dictionary import EncodedRows
 from repro.store.triple_store import TripleStore
 
 #: An id row: ints (bound), None (unbound), positions fixed by a schema.
@@ -1457,11 +1460,12 @@ class CompiledPlan:
         return self.core.id_result(ctx, max_rows)
 
     def execute_select(self, params=None, max_rows: int | None = None) -> SelectResult:
+        """Run the SELECT; its rows stay ids of this store's dictionary
+        (:class:`EncodedRows`) until somebody reads them as terms."""
         projected, id_rows = self.execute_ids(params, max_rows)
-        decode_row = self.store.dictionary.decode_row
         return SelectResult(
             projected,
-            [decode_row(row) for row in id_rows],
+            EncodedRows(self.store.dictionary, id_rows),
             sort_order=self.core.sort_order,
         )
 
